@@ -1,6 +1,6 @@
 //! Static-analysis throughput: the full `analyze` pipeline (resolve,
-//! CFG, dataflow fixpoints, cost bounding) and the optimizer lowering,
-//! over a representative sensing task. `scripts/bench.sh` records the
+//! CFG, dataflow fixpoints, cost bounding) over a representative
+//! sensing task. `scripts/bench.sh` records the
 //! `script_analysis/*` figures into `BENCH_pipeline.json` so analysis
 //! cost at server admission stays visible across PRs.
 
@@ -8,12 +8,10 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sor_script::analysis::{analyze, CapabilitySet};
-use sor_script::optimize::optimize;
-use sor_script::parser::parse;
 
 /// A task exercising every pass: a derived loop bound for the interval
 /// domain, helper calls for taint summaries, branches for liveness,
-/// and foldable arithmetic for the optimizer.
+/// and literal arithmetic the interval domain folds.
 const ANALYSIS_TASK: &str = r#"
     local function spread(xs)
         return max(xs) - min(xs)
@@ -44,12 +42,5 @@ fn bench_analyze(c: &mut Criterion) {
     });
 }
 
-fn bench_optimize(c: &mut Criterion) {
-    let block = parse(ANALYSIS_TASK).expect("bench task parses");
-    c.bench_function("script_analysis/optimize_lowering", |b| {
-        b.iter(|| black_box(optimize(&block)))
-    });
-}
-
-criterion_group!(benches, bench_analyze, bench_optimize);
+criterion_group!(benches, bench_analyze);
 criterion_main!(benches);

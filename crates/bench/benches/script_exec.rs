@@ -1,7 +1,9 @@
 //! Execution-engine throughput: one full phone-side dispatch (analyze +
-//! execute) on the tree-walking interpreter vs the bytecode VM with a
-//! cold and a warm compilation cache, plus a 64-phone fan-out of one
-//! script — the fleet shape the [`sor_script::ScriptCache`] exists for.
+//! execute) on the bytecode VM with a cold and a warm compilation
+//! cache, plus a 64-phone fan-out of one script — the fleet shape the
+//! [`sor_script::ScriptCache`] exists for. The tree-walking reference
+//! interpreter runs the same dispatch as the baseline the VM is gated
+//! against.
 //! `scripts/ci.sh` gates on `tree_walk / vm_warm >= 3x`, and
 //! `scripts/bench.sh` records the `script_exec/*` figures into
 //! `BENCH_pipeline.json`.
@@ -38,9 +40,9 @@ fn caps() -> CapabilitySet {
     CapabilitySet::from_registry(&fixed_host())
 }
 
-/// One phone-side dispatch on the tree-walking path: re-verify with the
-/// static analyzer (the phone does not trust the server), then parse
-/// and execute the source.
+/// One dispatch on the tree-walking reference interpreter: re-verify
+/// with the static analyzer (the phone does not trust the server), then
+/// parse and execute the source.
 fn dispatch_tree(caps: &CapabilitySet) -> Value {
     let verdict = analyze(SENSING_TASK, caps);
     assert!(!verdict.has_errors(), "bench task must pass analysis");
@@ -48,10 +50,10 @@ fn dispatch_tree(caps: &CapabilitySet) -> Value {
     interp.run(SENSING_TASK).expect("bench task runs")
 }
 
-/// One phone-side dispatch on the bytecode path: a cache lookup (which
-/// analyzes and compiles on miss) and a VM run of the shared module.
+/// One phone-side dispatch: a cache lookup (which analyzes and compiles
+/// on miss) and a VM run of the shared module.
 fn dispatch_vm(caps: &CapabilitySet, cache: &ScriptCache) -> Value {
-    let (prepared, _) = cache.get_or_prepare(SENSING_TASK, false, caps);
+    let (prepared, _) = cache.get_or_prepare(SENSING_TASK, caps);
     let Prepared::Ready(p) = prepared else { panic!("bench task must compile") };
     let mut vm = Vm::with_host(fixed_host());
     vm.run_module(&p.module).expect("bench task runs")

@@ -20,7 +20,7 @@
 //!   any read).
 //!
 //! [`dead_branches`] adds **W203** for branches statically severed by
-//! literal conditions — the analysis twin of the optimizer's pruning.
+//! literal conditions.
 //!
 //! The engine is deliberately *shallow*: loop headers hold exactly
 //! their loop statement, bodies live in successor blocks, so transfer

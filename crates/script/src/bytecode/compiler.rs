@@ -1,4 +1,4 @@
-//! Lowers a parsed (and possibly optimized) AST to bytecode.
+//! Lowers a parsed AST to bytecode.
 //!
 //! Each function is compiled in one of two binding modes (see
 //! [`Mode`]): literal-free bodies get flat slot frames with
@@ -13,7 +13,7 @@
 //! instruction per expression node (post-order), and the loop-step
 //! instructions charge once per iteration. On a completed run the two
 //! engines therefore count identical instruction totals — the
-//! `optdiff` three-way gate enforces this over the whole corpus.
+//! `vm_corpus` gate enforces this over the whole corpus.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -18,7 +18,7 @@
 //! multiset on a completed evaluation, and the post-order set is
 //! always a subset of the pre-order set at any intermediate error
 //! point — which is why the VM's count can never exceed the
-//! tree-walker's (the `optdiff` gate enforces equality on success).
+//! tree-walker's (the `vm_corpus` gate enforces equality on success).
 
 use crate::ast::{BinOp, UnOp};
 use crate::Pos;

@@ -184,8 +184,8 @@ impl Vm {
 
     /// Fuel consumed by the last (or current) run. Matches the
     /// tree-walker's [`crate::Interpreter::instructions_used`] exactly
-    /// on completed runs — the `optdiff` gate holds the two equal over
-    /// the corpus.
+    /// on completed runs — the `vm_corpus` gate holds the two equal
+    /// over the corpus.
     pub fn instructions_used(&self) -> u64 {
         self.budget - self.remaining
     }

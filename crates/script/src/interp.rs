@@ -159,8 +159,7 @@ impl Interpreter {
     }
 
     /// Runs an already-parsed block with a fresh context, budget, and
-    /// global scope — for embedders that parse (or transform) the AST
-    /// themselves, e.g. to execute an optimized lowering of a script.
+    /// global scope — for embedders that parse the AST themselves.
     ///
     /// # Errors
     ///

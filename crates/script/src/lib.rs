@@ -49,7 +49,6 @@ pub mod host;
 pub mod interp;
 pub mod lexer;
 pub mod ops;
-pub mod optimize;
 pub mod parser;
 pub mod stdlib;
 pub mod token;

@@ -6,8 +6,8 @@
 //! unary/binary operators (including Lua's floored modulo and
 //! NaN-compares-false ordering), table indexing, the table-constructor
 //! numeric-key rule, and the generic-for iteration snapshot. The
-//! `optdiff` three-way differential gate checks the engines against
-//! each other; sharing the semantics kernel is what makes that gate
+//! `vm_corpus` differential gate checks the engines against each
+//! other; sharing the semantics kernel is what makes that gate
 //! hold by construction rather than by parallel maintenance.
 
 use std::cell::RefCell;

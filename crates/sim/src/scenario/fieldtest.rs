@@ -130,8 +130,7 @@ pub struct FieldTestOutcome {
 
 /// Environment knobs captured into every run archive: anything that
 /// can change scenario behaviour and therefore comparability.
-pub const ARCHIVED_KNOBS: &[&str] =
-    &["SOR_SCHED_SOLVER", "SOR_SCRIPT_OPT", "SOR_SCRIPT_VM", "SOR_THREADS", "SOR_TRACE_SAMPLE"];
+pub const ARCHIVED_KNOBS: &[&str] = &["SOR_SCHED_SOLVER", "SOR_THREADS", "SOR_TRACE_SAMPLE"];
 
 impl FieldTestOutcome {
     /// Bundles this run's observability artifacts into a [`RunArchive`]
@@ -525,6 +524,17 @@ fn run_field_test(
 mod tests {
     use super::*;
     use sor_core::ranking::{FeatureId, PlaceId};
+
+    #[test]
+    fn shipped_scripts_are_in_the_engine_equality_corpus() {
+        // The lint and VM-vs-tree-walker corpus gates must cover what
+        // the phones actually run.
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/lint_corpus");
+        for (file, script) in [("coffee.ss", COFFEE_SCRIPT), ("trail.ss", TRAIL_SCRIPT)] {
+            let src = std::fs::read_to_string(format!("{corpus}/{file}")).unwrap();
+            assert!(src.ends_with(script), "{file} drifted from the shipped script");
+        }
+    }
 
     #[test]
     fn quick_coffee_field_test_orders_features_like_fig10() {
