@@ -1,6 +1,5 @@
 //! Ranking benchmarks: the aggregation cost behind Tables I/II, across
-//! place counts and aggregation methods (the solver ablation of
-//! DESIGN.md).
+//! place counts, feature counts and aggregation methods.
 
 use std::hint::black_box;
 
@@ -31,8 +30,7 @@ fn bench_aggregation_methods(c: &mut Criterion) {
     let mut g = c.benchmark_group("ranking/methods");
     let (r, w) = rankings(8, 5);
     for (name, method) in [
-        ("footrule_flow", AggregationMethod::FootruleFlow),
-        ("footrule_hungarian", AggregationMethod::FootruleHungarian),
+        ("footrule", AggregationMethod::Footrule),
         ("kemeny_exact", AggregationMethod::KemenyExact),
         ("borda", AggregationMethod::Borda),
     ] {
@@ -45,11 +43,8 @@ fn bench_place_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("ranking/places");
     for n in [3usize, 10, 30, 100] {
         let (r, w) = rankings(n, 5);
-        g.bench_with_input(BenchmarkId::new("footrule_flow", n), &n, |b, _| {
-            b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::FootruleFlow).unwrap()))
-        });
-        g.bench_with_input(BenchmarkId::new("footrule_hungarian", n), &n, |b, _| {
-            b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::FootruleHungarian).unwrap()))
+        g.bench_with_input(BenchmarkId::new("footrule", n), &n, |b, _| {
+            b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::Footrule).unwrap()))
         });
     }
     g.finish();
@@ -59,8 +54,8 @@ fn bench_feature_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("ranking/features");
     for m in [2usize, 8, 32] {
         let (r, w) = rankings(10, m);
-        g.bench_with_input(BenchmarkId::new("footrule_flow", m), &m, |b, _| {
-            b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::FootruleFlow).unwrap()))
+        g.bench_with_input(BenchmarkId::new("footrule", m), &m, |b, _| {
+            b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::Footrule).unwrap()))
         });
     }
     g.finish();

@@ -5,7 +5,7 @@
 //!   features need many.
 //! - **B. Lazy vs plain greedy** — identical schedules, very different
 //!   wall time.
-//! - **C. Aggregation quality** — footrule-flow and Borda vs the exact
+//! - **C. Aggregation quality** — footrule and Borda vs the exact
 //!   weighted Kemeny optimum on random instances (the paper's
 //!   2-approximation in practice).
 //! - **D. Online vs oracle scheduling** — the cost of not knowing
@@ -118,7 +118,7 @@ fn aggregation_quality() {
         let rankings: Vec<Ranking> = (0..5).map(|_| random_ranking(7, &mut rng)).collect();
         let weights: Vec<f64> = (0..5).map(|_| rng.random_range(1..=5) as f64).collect();
         let exact = aggregate(&rankings, &weights, AggregationMethod::KemenyExact).unwrap();
-        let foot = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        let foot = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
         let kem = aggregate(&rankings, &weights, AggregationMethod::FootruleKemenized).unwrap();
         let borda = aggregate(&rankings, &weights, AggregationMethod::Borda).unwrap();
         let opt = weighted_kemeny(&exact, &rankings, &weights).max(1e-9);
@@ -134,7 +134,7 @@ fn aggregation_quality() {
     let (fm, fx) = stats(&ratios_foot);
     let (km, kx) = stats(&ratios_kem);
     let (bm, bx) = stats(&ratios_borda);
-    println!("  footrule-flow    κ_K / optimal: mean {fm:.3}, worst {fx:.3} (bound: 2.0)");
+    println!("  footrule         κ_K / optimal: mean {fm:.3}, worst {fx:.3} (bound: 2.0)");
     println!("  + kemenization   κ_K / optimal: mean {km:.3}, worst {kx:.3} (bound: 2.0)");
     println!("  borda            κ_K / optimal: mean {bm:.3}, worst {bx:.3} (no bound)");
     println!();

@@ -20,7 +20,8 @@
 //!    `M` features are turned into per-feature distances to a user's
 //!    preferred values, per-feature *individual rankings*, and finally
 //!    aggregated under the **weighted Spearman footrule** by solving a
-//!    minimum-cost perfect matching (via [`sor_flow`]), which
+//!    minimum-cost perfect matching (a dense shortest-augmenting-path
+//!    kernel with canonical ties), which
 //!    2-approximates the NP-hard weighted Kemeny-optimal ranking. Exact
 //!    Kemeny (bitmask DP for small `N`) and Borda baselines are included
 //!    for evaluation.
@@ -101,8 +102,6 @@ pub enum CoreError {
         /// Maximum supported by the exact solver.
         max: usize,
     },
-    /// An error bubbled up from the flow substrate.
-    Flow(sor_flow::FlowError),
 }
 
 impl std::fmt::Display for CoreError {
@@ -123,22 +122,8 @@ impl std::fmt::Display for CoreError {
             CoreError::TooManyPlaces { places, max } => {
                 write!(f, "exact Kemeny supports at most {max} places, got {places}")
             }
-            CoreError::Flow(e) => write!(f, "flow solver: {e}"),
         }
     }
 }
 
-impl std::error::Error for CoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CoreError::Flow(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<sor_flow::FlowError> for CoreError {
-    fn from(e: sor_flow::FlowError) -> Self {
-        CoreError::Flow(e)
-    }
-}
+impl std::error::Error for CoreError {}

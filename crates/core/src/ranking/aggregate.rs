@@ -6,15 +6,15 @@
 //! f-ranking distance** `κ_f` (eq. 11) instead, which is within a factor
 //! 2 by the Diaconis–Graham inequality (eq. 10). The footrule-optimal
 //! ranking is found exactly as a min-cost perfect matching between
-//! places and rank positions on the auxiliary flow graph of §IV-B.
+//! places and rank positions, the assignment problem of §IV-B, with
+//! equal-cost optima broken canonically by the assignment kernel.
 
-use sor_flow::assignment::{self, Backend};
-
+use crate::ranking::assignment::canonical_order;
 use crate::ranking::distance::{footrule_distance, kemeny_distance, Ranking};
 use crate::CoreError;
 
 /// Fixed-point scale for converting weighted float costs to the integer
-/// costs required by the exact matching solvers. Weights in SOR are
+/// costs required by the exact assignment kernel. Weights in SOR are
 /// user-interface integers (0–5), so this is exact for paper-style
 /// profiles and a 2⁻²⁰-resolution approximation otherwise.
 const COST_SCALE: f64 = (1u64 << 20) as f64;
@@ -22,15 +22,15 @@ const COST_SCALE: f64 = (1u64 << 20) as f64;
 /// How to aggregate individual rankings into the final ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregationMethod {
-    /// The paper's method: weighted-footrule-optimal via min-cost flow.
+    /// The paper's method: the weighted-footrule-optimal ranking, as a
+    /// min-cost assignment of places to positions. Among equal-cost
+    /// optima, the one whose best-first place ids are lexicographically
+    /// smallest.
     #[default]
-    FootruleFlow,
-    /// Same objective solved with the Hungarian algorithm (identical
-    /// output, different solver — used for cross-validation/ablation).
-    FootruleHungarian,
+    Footrule,
     /// The paper's method followed by *local Kemenization*: adjacent
     /// transpositions are applied while they reduce the weighted Kemeny
-    /// distance. Never worse than `FootruleFlow` under κ_K (so the 2×
+    /// distance. Never worse than `Footrule` under κ_K (so the 2×
     /// bound is preserved) and usually optimal in practice.
     FootruleKemenized,
     /// Exact weighted-Kemeny-optimal ranking by bitmask DP. Exponential:
@@ -71,8 +71,6 @@ pub fn weighted_kemeny(r: &Ranking, rankings: &[Ranking], weights: &[f64]) -> f6
 /// - [`CoreError::DimensionMismatch`] if `rankings`/`weights` lengths
 ///   differ, `rankings` is empty, or ranking lengths are inconsistent.
 /// - [`CoreError::TooManyPlaces`] for `KemenyExact` beyond 16 places.
-/// - [`CoreError::Flow`] if the matching solver fails (indicates a bug,
-///   the instance is always feasible).
 pub fn aggregate(
     rankings: &[Ranking],
     weights: &[f64],
@@ -100,15 +98,9 @@ pub fn aggregate(
         return Ok(Ranking::identity(0));
     }
     match method {
-        AggregationMethod::FootruleFlow => {
-            footrule_optimal(rankings, weights, n, Backend::MinCostFlow)
-        }
-        AggregationMethod::FootruleHungarian => {
-            footrule_optimal(rankings, weights, n, Backend::Hungarian)
-        }
+        AggregationMethod::Footrule => Ok(footrule_optimal(rankings, weights, n)),
         AggregationMethod::FootruleKemenized => {
-            let base = footrule_optimal(rankings, weights, n, Backend::MinCostFlow)?;
-            Ok(local_kemenize(base, rankings, weights))
+            Ok(local_kemenize(footrule_optimal(rankings, weights, n), rankings, weights))
         }
         AggregationMethod::KemenyExact => kemeny_exact(rankings, weights, n),
         AggregationMethod::Borda => Ok(borda(rankings, weights, n)),
@@ -152,14 +144,9 @@ fn local_kemenize(r: Ranking, rankings: &[Ranking], weights: &[f64]) -> Ranking 
     Ranking::from_order(order).expect("swaps preserve the permutation")
 }
 
-/// Exact weighted-footrule aggregation: the §IV-B flow construction.
+/// Exact weighted-footrule aggregation: the §IV-B assignment with
 /// `cost(place i → position p) = Σ_j w_j · |π(i, R_j) − p|`.
-fn footrule_optimal(
-    rankings: &[Ranking],
-    weights: &[f64],
-    n: usize,
-    backend: Backend,
-) -> Result<Ranking, CoreError> {
+fn footrule_optimal(rankings: &[Ranking], weights: &[f64], n: usize) -> Ranking {
     use crate::ranking::feature::PlaceId;
     let mut cost = vec![vec![0i64; n]; n];
     for (i, row) in cost.iter_mut().enumerate() {
@@ -172,13 +159,7 @@ fn footrule_optimal(
             *cell = (c * COST_SCALE).round() as i64;
         }
     }
-    let sol = assignment::solve(&cost, backend)?;
-    // sol.assignment[i] = position of place i; invert to an order.
-    let mut order = vec![0usize; n];
-    for (place, &pos) in sol.assignment.iter().enumerate() {
-        order[pos] = place;
-    }
-    Ranking::from_order(order)
+    Ranking::from_order(canonical_order(&cost)).expect("an assignment is a permutation")
 }
 
 /// Exact weighted Kemeny aggregation by bitmask DP over place subsets.
@@ -294,22 +275,19 @@ mod tests {
         let r = rk(&[2, 0, 1]);
         let rankings = vec![r.clone(), r.clone(), r.clone()];
         let weights = vec![1.0, 2.0, 5.0];
-        for method in [
-            AggregationMethod::FootruleFlow,
-            AggregationMethod::FootruleHungarian,
-            AggregationMethod::KemenyExact,
-            AggregationMethod::Borda,
-        ] {
+        for method in
+            [AggregationMethod::Footrule, AggregationMethod::KemenyExact, AggregationMethod::Borda]
+        {
             let agg = aggregate(&rankings, &weights, method).unwrap();
             assert_eq!(agg, r, "{method:?}");
         }
     }
 
     #[test]
-    fn footrule_flow_is_optimal_by_enumeration() {
+    fn footrule_is_optimal_by_enumeration() {
         let rankings = vec![rk(&[0, 1, 2, 3]), rk(&[3, 2, 1, 0]), rk(&[1, 3, 0, 2])];
         let weights = vec![5.0, 1.0, 2.0];
-        let agg = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        let agg = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
         let best = all_perms(4)
             .into_iter()
             .map(|r| weighted_footrule(&r, &rankings, &weights))
@@ -339,7 +317,7 @@ mod tests {
             (vec![rk(&[3, 1, 0, 2]), rk(&[0, 2, 1, 3])], vec![4.0, 5.0]),
         ];
         for (rankings, weights) in cases {
-            let foot = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+            let foot = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
             let kem = aggregate(&rankings, &weights, AggregationMethod::KemenyExact).unwrap();
             let foot_cost = weighted_kemeny(&foot, &rankings, &weights);
             let opt_cost = weighted_kemeny(&kem, &rankings, &weights);
@@ -358,7 +336,7 @@ mod tests {
             (vec![rk(&[4, 2, 0, 1, 3]), rk(&[0, 1, 2, 3, 4])], vec![2.0, 3.0]),
         ];
         for (rankings, weights) in cases {
-            let plain = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+            let plain = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
             let refined =
                 aggregate(&rankings, &weights, AggregationMethod::FootruleKemenized).unwrap();
             let exact = aggregate(&rankings, &weights, AggregationMethod::KemenyExact).unwrap();
@@ -388,23 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn flow_and_hungarian_agree_on_cost() {
-        let rankings = vec![rk(&[4, 2, 0, 1, 3]), rk(&[0, 1, 2, 3, 4]), rk(&[1, 0, 3, 2, 4])];
-        let weights = vec![3.0, 2.0, 4.0];
-        let a = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-        let b = aggregate(&rankings, &weights, AggregationMethod::FootruleHungarian).unwrap();
-        let ca = weighted_footrule(&a, &rankings, &weights);
-        let cb = weighted_footrule(&b, &rankings, &weights);
-        assert!((ca - cb).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_weight_rankings_are_ignored() {
         let dominant = rk(&[2, 1, 0]);
         let noise = rk(&[0, 1, 2]);
-        let agg =
-            aggregate(&[dominant.clone(), noise], &[5.0, 0.0], AggregationMethod::FootruleFlow)
-                .unwrap();
+        let agg = aggregate(&[dominant.clone(), noise], &[5.0, 0.0], AggregationMethod::Footrule)
+            .unwrap();
         assert_eq!(agg, dominant);
     }
 
@@ -412,7 +378,7 @@ mod tests {
     fn heavier_weight_dominates() {
         let a = rk(&[0, 1, 2]);
         let b = rk(&[2, 1, 0]);
-        let agg = aggregate(&[a.clone(), b], &[5.0, 1.0], AggregationMethod::FootruleFlow).unwrap();
+        let agg = aggregate(&[a.clone(), b], &[5.0, 1.0], AggregationMethod::Footrule).unwrap();
         assert_eq!(agg, a);
     }
 
@@ -453,11 +419,9 @@ mod tests {
     #[test]
     fn single_place_aggregation() {
         let r = rk(&[0]);
-        for method in [
-            AggregationMethod::FootruleFlow,
-            AggregationMethod::KemenyExact,
-            AggregationMethod::Borda,
-        ] {
+        for method in
+            [AggregationMethod::Footrule, AggregationMethod::KemenyExact, AggregationMethod::Borda]
+        {
             assert_eq!(aggregate(std::slice::from_ref(&r), &[3.0], method).unwrap(), r);
         }
     }

@@ -1,7 +1,5 @@
 //! Rankings and ranking distances (Definition 2, eq. 9–10).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ranking::feature::PlaceId;
 use crate::CoreError;
 
@@ -20,7 +18,7 @@ use crate::CoreError;
 /// assert_eq!(r.position_of(PlaceId(2)), 0); // place 2 is ranked first
 /// assert_eq!(r.place_at(0), PlaceId(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ranking {
     order: Vec<usize>,
     /// positions[place] = rank position of that place.

@@ -4,21 +4,19 @@
 //! database into a matrix `H = <h_ij>`, `i ∈ {1..N}`, `j ∈ {1..M}`,
 //! where `N` and `M` are the numbers of target places and features."
 
-use serde::{Deserialize, Serialize};
-
 use crate::CoreError;
 
 /// Index of a target place (row of `H`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlaceId(pub usize);
 
 /// Index of a sensing feature (column of `H`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FeatureId(pub usize);
 
 /// A humanly-understandable sensing feature, e.g. "temperature (°F)" or
 /// "roughness of road surface (m/s²)".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Feature {
     /// Display name, e.g. "temperature".
     pub name: String,
@@ -59,7 +57,7 @@ impl std::fmt::Display for Feature {
 /// assert_eq!(m.n_places(), 2);
 /// assert_eq!(m.value(sor_core::ranking::PlaceId(1), sor_core::ranking::FeatureId(0)), 42.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     places: Vec<String>,
     features: Vec<Feature>,

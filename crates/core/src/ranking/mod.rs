@@ -10,12 +10,14 @@
 //!    ascending to give a per-feature ranking `R_j` ([`individual_rankings`]).
 //! 3. **Aggregation** — the final ranking minimises the *weighted
 //!    f-ranking distance* `κ_f(R, Ω) = Σ_j w_j · d_f(R, R_j)` (eq. 11),
-//!    solved exactly as a min-cost perfect matching ([`aggregate`]);
+//!    solved exactly as a min-cost perfect matching ([`aggregate`]) with
+//!    equal-cost ties broken canonically;
 //!    by eq. 10 the result 2-approximates the NP-hard weighted
 //!    Kemeny-optimal ranking. Exact Kemeny (bitmask DP) and Borda
 //!    baselines are provided for evaluation.
 
 mod aggregate;
+mod assignment;
 mod distance;
 mod feature;
 mod individual;

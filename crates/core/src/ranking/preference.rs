@@ -10,13 +10,11 @@
 //! then a very large (small) default value is always used as the
 //! preferred value."
 
-use serde::{Deserialize, Serialize};
-
 use crate::ranking::feature::{FeatureId, FeatureMatrix, PlaceId};
 use crate::CoreError;
 
 /// A user's preferred value for one feature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PreferredValue {
     /// A concrete target value, e.g. 73 °F.
     Value(f64),
@@ -34,7 +32,7 @@ pub enum PreferredValue {
 /// meaning "don't care" and 5 "really cares"; [`Weight::level`] builds
 /// those, while [`Weight::new`] accepts any non-negative finite value
 /// for programmatic use.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Weight(f64);
 
 impl Weight {
@@ -77,7 +75,7 @@ impl Default for Weight {
 }
 
 /// Preference on one feature: target value plus emphasis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Preference {
     /// The preferred value `u_j`.
     pub preferred: PreferredValue,
@@ -109,7 +107,7 @@ impl Preference {
 
 /// A user's full preference profile over the `M` features of a category,
 /// e.g. the hiker profiles of Fig. 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserPreferences {
     /// Display name, e.g. "Alice".
     pub name: String,

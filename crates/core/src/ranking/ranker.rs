@@ -118,8 +118,9 @@ impl std::fmt::Display for PlaceExplanation {
     }
 }
 
-/// The Personalizable Ranker component of the sensing server (§II-B),
-/// configured with an aggregation method.
+/// The Personalizable Ranker component of the sensing server (§II-B).
+/// It aggregates with the paper's footrule method,
+/// [`AggregationMethod::Footrule`].
 ///
 /// # Example
 ///
@@ -140,24 +141,17 @@ impl std::fmt::Display for PlaceExplanation {
 /// # Ok::<(), sor_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PersonalizableRanker {
-    method: AggregationMethod,
-}
+pub struct PersonalizableRanker;
 
 impl PersonalizableRanker {
-    /// Ranker using the paper's footrule/min-cost-flow aggregation.
+    /// Ranker using the paper's footrule aggregation.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Ranker with an explicit aggregation method.
-    pub fn with_method(method: AggregationMethod) -> Self {
-        PersonalizableRanker { method }
-    }
-
-    /// The configured aggregation method.
+    /// The aggregation method [`PersonalizableRanker::rank`] runs.
     pub fn method(&self) -> AggregationMethod {
-        self.method
+        AggregationMethod::Footrule
     }
 
     /// Runs Algorithm 2: distances, individual rankings, aggregation.
@@ -181,7 +175,7 @@ impl PersonalizableRanker {
             // No features: every order is equally good; use identity.
             Ranking::identity(h.n_places())
         } else {
-            aggregate(&individual, &weights, self.method)?
+            aggregate(&individual, &weights, self.method())?
         };
         Ok(RankingOutcome { gamma, individual, final_ranking })
     }
@@ -283,14 +277,15 @@ mod tests {
             ],
         );
         let h = coffee_matrix();
+        let out = PersonalizableRanker::new().rank(&h, &prefs).unwrap();
         for method in [
-            AggregationMethod::FootruleFlow,
-            AggregationMethod::FootruleHungarian,
+            AggregationMethod::Footrule,
+            AggregationMethod::FootruleKemenized,
             AggregationMethod::KemenyExact,
             AggregationMethod::Borda,
         ] {
-            let out = PersonalizableRanker::with_method(method).rank(&h, &prefs).unwrap();
-            let mut order = out.final_ranking.order().to_vec();
+            let ranking = aggregate(&out.individual, &prefs.weights(), method).unwrap();
+            let mut order = ranking.order().to_vec();
             order.sort();
             assert_eq!(order, vec![0, 1, 2], "{method:?}");
         }

@@ -16,13 +16,11 @@
 //! by construction it takes the identical floating-point path, so
 //! zero-decay results stay byte-identical.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::TimeGrid;
 
 /// How an instant's value decays with elapsed time since the period
 /// start. All curves are non-increasing and clamped to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DecayCurve {
     /// No decay: every instant is worth 1 (the paper's eq. 4).
     #[default]

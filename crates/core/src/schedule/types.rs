@@ -1,12 +1,10 @@
 //! Participants and schedules.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matroid::SenseAction;
 use crate::time::InstantId;
 
 /// Identifier of a participating mobile user (dense index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub usize);
 
 impl std::fmt::Display for UserId {
@@ -18,7 +16,7 @@ impl std::fmt::Display for UserId {
 /// A mobile user participating in sensing for one application: present
 /// during `[arrival, departure]` and willing to take at most `budget`
 /// readings in the scheduling period (the paper's `NBk`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Participant {
     /// The user's id.
     pub user: UserId,

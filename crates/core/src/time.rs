@@ -5,12 +5,10 @@
 //! small time intervals with equal durations. The measurements are
 //! scheduled to be taken only at these time instants."
 
-use serde::{Deserialize, Serialize};
-
 use crate::CoreError;
 
 /// Index of a time instant within a [`TimeGrid`] (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstantId(pub usize);
 
 impl std::fmt::Display for InstantId {
@@ -35,7 +33,7 @@ impl std::fmt::Display for InstantId {
 /// assert_eq!(grid.spacing(), 10.0);
 /// assert_eq!(grid.time_of(sor_core::time::InstantId(0)), 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeGrid {
     start: f64,
     end: f64,

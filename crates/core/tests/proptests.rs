@@ -5,7 +5,7 @@ use sor_core::coverage::{coverage_of_instants, CoverageState, GaussianCoverage};
 use sor_core::matroid::{verify_axioms, BudgetMatroid, SenseAction};
 use sor_core::ranking::{
     aggregate, footrule_distance, individual_rankings, kemeny_distance, weighted_footrule,
-    weighted_kemeny, AggregationMethod, Ranking,
+    weighted_kemeny, AggregationMethod, PlaceId, Ranking,
 };
 use sor_core::schedule::online::{OnlineScheduler, SolverKind};
 use sor_core::schedule::{
@@ -13,6 +13,7 @@ use sor_core::schedule::{
     ScheduleProblem, UserId,
 };
 use sor_core::time::{InstantId, TimeGrid};
+use sor_flow::{Graph, MinCostFlow, NodeId};
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -316,31 +317,45 @@ proptest! {
         prop_assert_eq!(footrule_distance(&a, &a), 0);
     }
 
-    /// The flow aggregation is footrule-optimal (checked by enumerating
-    /// all 4! candidate rankings) and matches Hungarian.
+    /// The footrule aggregation is optimal: its weighted footrule equals
+    /// the optimum of the paper's §IV-B min-cost-flow network.
     #[test]
     fn aggregation_is_footrule_optimal(
-        rankings in proptest::collection::vec(permutation(4), 1..5),
-        raw_weights in proptest::collection::vec(0u8..=5, 1..5),
+        (rankings, raw_weights) in (1usize..=12).prop_flat_map(|n| (
+            proptest::collection::vec(permutation(n), 1..5),
+            proptest::collection::vec(0u8..=5, 4),
+        )),
     ) {
-        let m = rankings.len().min(raw_weights.len());
-        let rankings = &rankings[..m];
-        let weights: Vec<f64> = raw_weights[..m].iter().map(|&w| w as f64).collect();
-        let flow = aggregate(rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-        let hung = aggregate(rankings, &weights, AggregationMethod::FootruleHungarian).unwrap();
-        let flow_cost = weighted_footrule(&flow, rankings, &weights);
-        let hung_cost = weighted_footrule(&hung, rankings, &weights);
-        prop_assert!((flow_cost - hung_cost).abs() < 1e-9);
+        let raw_weights = &raw_weights[..rankings.len()];
+        let weights: Vec<f64> = raw_weights.iter().map(|&w| w as f64).collect();
+        let agg = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
+        let got = weighted_footrule(&agg, &rankings, &weights);
+        let optimal = flow_oracle_cost(&footrule_costs(&rankings, raw_weights));
+        prop_assert_eq!(got, optimal as f64);
+    }
 
-        // Enumerate all permutations of 4 places.
-        let mut best = f64::INFINITY;
-        let mut order = vec![0, 1, 2, 3];
-        permute_all(&mut order, 0, &mut |perm| {
-            let r = Ranking::from_order(perm.to_vec()).unwrap();
-            let c = weighted_footrule(&r, rankings, &weights);
-            if c < best { best = c; }
+    /// Equal-cost optima resolve canonically: on instances built to tie
+    /// (duplicated rankings, equal weights, zero weights, mirrored
+    /// pairs), the aggregation is the lexicographically smallest optimal
+    /// order, found by enumerating every order of up to 7 places. The
+    /// flow oracle agrees on its cost.
+    #[test]
+    fn footrule_ties_resolve_to_the_smallest_optimal_order(
+        (rankings, raw_weights) in tied_instance(),
+    ) {
+        let weights: Vec<f64> = raw_weights.iter().map(|&w| w as f64).collect();
+        let agg = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
+        let cost = footrule_costs(&rankings, &raw_weights);
+        let mut best: Option<(i64, Vec<usize>)> = None;
+        for_each_order(cost.len(), &mut |order| {
+            let c: i64 = order.iter().enumerate().map(|(p, &i)| cost[i][p]).sum();
+            if best.as_ref().is_none_or(|(b, _)| c < *b) {
+                best = Some((c, order.to_vec()));
+            }
         });
-        prop_assert!((flow_cost - best).abs() < 1e-9, "flow {} vs optimal {}", flow_cost, best);
+        let (optimal, smallest) = best.unwrap();
+        prop_assert_eq!(agg.order(), &smallest[..]);
+        prop_assert_eq!(flow_oracle_cost(&cost), optimal);
     }
 
     /// Local Kemenization never regresses the footrule solution and
@@ -353,7 +368,7 @@ proptest! {
         let m = rankings.len().min(raw_weights.len());
         let rankings = &rankings[..m];
         let weights: Vec<f64> = raw_weights[..m].iter().map(|&w| w as f64).collect();
-        let plain = aggregate(rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        let plain = aggregate(rankings, &weights, AggregationMethod::Footrule).unwrap();
         let refined = aggregate(rankings, &weights, AggregationMethod::FootruleKemenized).unwrap();
         let exact = aggregate(rankings, &weights, AggregationMethod::KemenyExact).unwrap();
         let k_plain = weighted_kemeny(&plain, rankings, &weights);
@@ -373,7 +388,7 @@ proptest! {
         let m = rankings.len().min(raw_weights.len());
         let rankings = &rankings[..m];
         let weights: Vec<f64> = raw_weights[..m].iter().map(|&w| w as f64).collect();
-        let foot = aggregate(rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        let foot = aggregate(rankings, &weights, AggregationMethod::Footrule).unwrap();
         let exact = aggregate(rankings, &weights, AggregationMethod::KemenyExact).unwrap();
         let foot_k = weighted_kemeny(&foot, rankings, &weights);
         let opt_k = weighted_kemeny(&exact, rankings, &weights);
@@ -396,14 +411,93 @@ proptest! {
     }
 }
 
-fn permute_all(order: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
-    if k == order.len() {
-        f(order);
-        return;
+/// Aggregation instances built to have many equal-cost optima: a
+/// duplicated ranking, all weights equal, every other weight zero, or
+/// each ranking paired with its mirror image at equal weight.
+fn tied_instance() -> impl Strategy<Value = (Vec<Ranking>, Vec<u8>)> {
+    (2usize..=7)
+        .prop_flat_map(|n| {
+            (
+                proptest::collection::vec(permutation(n), 1..4),
+                proptest::collection::vec(0u8..=5, 3),
+                0usize..4,
+            )
+        })
+        .prop_map(|(base, w, kind)| {
+            let mut rankings = base.clone();
+            let mut weights = w[..base.len()].to_vec();
+            match kind {
+                0 => {
+                    rankings.push(base[0].clone());
+                    weights.push(w[0]);
+                }
+                1 => weights.fill(w[0]),
+                2 => weights.iter_mut().step_by(2).for_each(|w| *w = 0),
+                _ => {
+                    for (r, &wr) in base.iter().zip(&w) {
+                        let mirror = r.order().iter().rev().copied().collect();
+                        rankings.push(Ranking::from_order(mirror).unwrap());
+                        weights.push(wr);
+                    }
+                }
+            }
+            (rankings, weights)
+        })
+}
+
+/// `cost[i][p] = Σ_j w_j · |π(i, R_j) − p|`: the price of placing place
+/// `i` at position `p`, exact for integer weights.
+fn footrule_costs(rankings: &[Ranking], weights: &[u8]) -> Vec<Vec<i64>> {
+    let n = rankings[0].len();
+    (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|p| {
+                    rankings
+                        .iter()
+                        .zip(weights)
+                        .map(|(r, &w)| i64::from(w) * r.position_of(PlaceId(i)).abs_diff(p) as i64)
+                        .sum()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The paper's §IV-B network, solved by min-cost flow: source → place →
+/// position → sink, unit capacities, place→position arcs priced by
+/// `cost`. Returns the minimum total cost of routing every place.
+fn flow_oracle_cost(cost: &[Vec<i64>]) -> i64 {
+    let n = cost.len();
+    // Layout: 0 = s, 1..=n places, n+1..=2n positions, 2n+1 = z.
+    let mut g = Graph::new(2 * n + 2);
+    let (s, z) = (NodeId(0), NodeId(2 * n + 1));
+    for (i, row) in cost.iter().enumerate() {
+        g.add_edge(s, NodeId(1 + i), 1, 0);
+        g.add_edge(NodeId(n + 1 + i), z, 1, 0);
+        for (p, &c) in row.iter().enumerate() {
+            g.add_edge(NodeId(1 + i), NodeId(n + 1 + p), 1, c);
+        }
     }
-    for i in k..order.len() {
-        order.swap(k, i);
-        permute_all(order, k + 1, f);
-        order.swap(k, i);
+    MinCostFlow::new(g).solve_exact(s, z, n as i64).unwrap().cost
+}
+
+/// Calls `f` on every order of `0..n`, in lexicographic order.
+fn for_each_order(n: usize, f: &mut impl FnMut(&[usize])) {
+    fn rec(order: &mut Vec<usize>, used: &mut [bool], f: &mut impl FnMut(&[usize])) {
+        if order.len() == used.len() {
+            f(order);
+            return;
+        }
+        for i in 0..used.len() {
+            if !used[i] {
+                used[i] = true;
+                order.push(i);
+                rec(order, used, f);
+                order.pop();
+                used[i] = false;
+            }
+        }
     }
+    rec(&mut Vec::with_capacity(n), &mut vec![false; n], f);
 }

@@ -1,47 +1,48 @@
-//! Network-flow substrate for the SOR reproduction.
+//! Network-flow substrate for the SOR reproduction: the paper's own
+//! formulation of rank aggregation, kept as a test oracle.
 //!
 //! The SOR paper (§IV-B) aggregates per-feature rankings into a final
 //! personalizable ranking by solving a **minimum-cost perfect matching**
 //! between target places and rank positions, formulated as a min-cost
 //! `s`–`z` flow on an auxiliary unit-capacity graph (ref. \[1\] of the
-//! paper: Ahuja, Magnanti, Orlin, *Network Flows*). This crate provides
-//! that substrate from scratch:
+//! paper: Ahuja, Magnanti, Orlin, *Network Flows*). Production ranking in
+//! `sor-core` solves that matching with a dense assignment kernel; this
+//! crate builds the paper's network literally so tests can check the
+//! kernel against it. It is a dev-dependency only.
 //!
 //! - [`Graph`]: a compact adjacency-list directed flow network.
 //! - [`MinCostFlow`]: successive shortest augmenting paths with Johnson
 //!   potentials (Bellman-Ford bootstrap, Dijkstra thereafter), exact on
 //!   integer costs, guaranteed integral on unit-capacity graphs.
-//! - [`hungarian`]: an independent `O(n³)` Hungarian (Kuhn–Munkres)
-//!   assignment solver used to cross-check the flow formulation.
-//! - [`assignment`]: a facade that solves square assignment problems with
-//!   either backend.
-//!
-//! Costs are `i64`. Callers with fractional costs (e.g. fractional
-//! feature weights) should scale to fixed point first; the ranking layer
-//! in `sor-core` does exactly that.
+//! - [`validate`]: conservation, capacity and optimality checks.
 //!
 //! # Example
 //!
 //! ```
-//! use sor_flow::assignment::{solve, Backend};
+//! use sor_flow::{Graph, MinCostFlow, NodeId};
 //!
-//! // cost[i][j] = cost of assigning row i to column j
-//! let cost = vec![vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]];
-//! let sol = solve(&cost, Backend::MinCostFlow).unwrap();
-//! assert_eq!(sol.total_cost, 5);
+//! // Two places onto two positions: s = 0, places 1-2, positions 3-4, z = 5.
+//! let cost = [[4, 1], [2, 0]];
+//! let mut g = Graph::new(6);
+//! for i in 0..2 {
+//!     g.add_edge(NodeId(0), NodeId(1 + i), 1, 0);
+//!     g.add_edge(NodeId(3 + i), NodeId(5), 1, 0);
+//!     for p in 0..2 {
+//!         g.add_edge(NodeId(1 + i), NodeId(3 + p), 1, cost[i][p]);
+//!     }
+//! }
+//! let res = MinCostFlow::new(g).solve_exact(NodeId(0), NodeId(5), 2).unwrap();
+//! assert_eq!(res.cost, 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod assignment;
 pub mod graph;
-pub mod hungarian;
 pub mod mincost;
 pub mod shortest;
 pub mod validate;
 
-pub use assignment::{solve as solve_assignment, AssignmentSolution, Backend};
 pub use graph::{EdgeId, Graph, NodeId};
 pub use mincost::{FlowResult, MinCostFlow};
 
@@ -60,13 +61,6 @@ pub enum FlowError {
     NegativeCycle,
     /// A node id was out of range for the graph it was used with.
     InvalidNode(usize),
-    /// The assignment cost matrix was empty or not square.
-    MalformedMatrix {
-        /// Number of rows supplied.
-        rows: usize,
-        /// Length of the first offending row (or expected width).
-        cols: usize,
-    },
 }
 
 impl std::fmt::Display for FlowError {
@@ -80,9 +74,6 @@ impl std::fmt::Display for FlowError {
                 write!(f, "negative-cost cycle reachable from the source")
             }
             FlowError::InvalidNode(n) => write!(f, "node id {n} out of range"),
-            FlowError::MalformedMatrix { rows, cols } => {
-                write!(f, "assignment matrix malformed: {rows} rows, offending width {cols}")
-            }
         }
     }
 }

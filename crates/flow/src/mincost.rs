@@ -3,7 +3,7 @@
 //! This is the textbook SSP algorithm (Ahuja–Magnanti–Orlin, the paper's
 //! reference \[1\]) with Johnson potentials: one Bellman-Ford pass
 //! establishes potentials even when the input has negative arc costs
-//! (the assignment graphs built by `sor-core` do not, but ranking
+//! (the assignment graphs the ranking tests build do not, but ranking
 //! experiments with signed weights can produce them), then each
 //! augmentation runs Dijkstra on non-negative reduced costs.
 //!

@@ -1,67 +1,10 @@
 //! Property-based tests for the flow substrate.
 
 use proptest::prelude::*;
-use sor_flow::assignment::{solve, Backend};
 use sor_flow::validate::{check_capacities, check_conservation, is_min_cost};
 use sor_flow::{Graph, MinCostFlow, NodeId};
 
-/// Strategy: a random square cost matrix with n in 1..=7 and small costs.
-fn cost_matrix() -> impl Strategy<Value = Vec<Vec<i64>>> {
-    (1usize..=7)
-        .prop_flat_map(|n| proptest::collection::vec(proptest::collection::vec(0i64..50, n), n))
-}
-
-/// Brute-force optimal assignment cost for cross-checking.
-fn brute_force(cost: &[Vec<i64>]) -> i64 {
-    fn rec(cost: &[Vec<i64>], used: &mut Vec<bool>, row: usize, acc: i64, best: &mut i64) {
-        let n = cost.len();
-        if acc >= *best {
-            return;
-        }
-        if row == n {
-            *best = acc;
-            return;
-        }
-        for j in 0..n {
-            if !used[j] {
-                used[j] = true;
-                rec(cost, used, row + 1, acc + cost[row][j], best);
-                used[j] = false;
-            }
-        }
-    }
-    let mut used = vec![false; cost.len()];
-    let mut best = i64::MAX;
-    rec(cost, &mut used, 0, 0, &mut best);
-    best
-}
-
 proptest! {
-    #[test]
-    fn assignment_backends_agree(cost in cost_matrix()) {
-        let a = solve(&cost, Backend::MinCostFlow).unwrap();
-        let b = solve(&cost, Backend::Hungarian).unwrap();
-        prop_assert_eq!(a.total_cost, b.total_cost);
-    }
-
-    #[test]
-    fn assignment_matches_brute_force(cost in cost_matrix()) {
-        let a = solve(&cost, Backend::MinCostFlow).unwrap();
-        prop_assert_eq!(a.total_cost, brute_force(&cost));
-    }
-
-    #[test]
-    fn assignment_is_permutation(cost in cost_matrix()) {
-        let sol = solve(&cost, Backend::MinCostFlow).unwrap();
-        let n = cost.len();
-        let mut seen = vec![false; n];
-        for &j in &sol.assignment {
-            prop_assert!(j < n);
-            prop_assert!(!seen[j]);
-            seen[j] = true;
-        }
-    }
-
     /// Random layered graphs: flow must conserve, respect capacities and
     /// leave no negative residual cycle.
     #[test]

@@ -37,7 +37,7 @@ pub trait Environment: Send + Sync {
 /// A slowly drifting noisy level: `base + drift·smooth(t) + σ·N(0,1)`.
 /// The building block for every scalar quantity in both environment
 /// families.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Level {
     /// Long-run mean.
     pub base: f64,

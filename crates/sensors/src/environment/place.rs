@@ -1,7 +1,5 @@
 //! Indoor place environments (the coffee shops of §V-B).
 
-use serde::{Deserialize, Serialize};
-
 use crate::environment::{Environment, Level};
 use crate::kind::{Reading, SensorKind};
 use crate::noise::HashNoise;
@@ -9,7 +7,7 @@ use crate::SensorError;
 
 /// Static description of an indoor place — serializable so field-test
 /// scenarios can be stored or tweaked as data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaceSpec {
     /// Display name.
     pub name: String,

@@ -6,8 +6,6 @@
 //! GPS, accelerometer (surface roughness), compass, temperature,
 //! humidity and pressure/altitude.
 
-use serde::{Deserialize, Serialize};
-
 use crate::environment::{Environment, Level};
 use crate::kind::{Reading, SensorKind};
 use crate::noise::HashNoise;
@@ -18,7 +16,7 @@ use crate::SensorError;
 const M_PER_DEG_LAT: f64 = 111_320.0;
 
 /// One trail segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Length in metres.
     pub length_m: f64,
@@ -30,7 +28,7 @@ pub struct Segment {
 }
 
 /// Static description of a trail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrailSpec {
     /// Display name.
     pub name: String,

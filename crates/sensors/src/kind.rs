@@ -1,8 +1,6 @@
 //! Sensor kinds: the embedded sensors of a Nexus4-class phone plus the
 //! external Sensordrone sensors named in §I/§II of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// One acquisition result: a small vector of values. Scalar sensors
 /// yield one element; the accelerometer yields `[x, y, z]`; GPS yields
 /// `[lat, lon, altitude]`.
@@ -10,7 +8,7 @@ pub type Reading = Vec<f64>;
 
 /// Whether the sensor is embedded in the phone or attached externally
 /// over Bluetooth (Sensordrone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorClass {
     /// Built into the phone.
     Embedded,
@@ -22,7 +20,7 @@ pub enum SensorClass {
 /// smartphone and all sensors available on a Sensordrone" (§II-A),
 /// restricted to the ones the evaluation actually exercises plus a few
 /// more to demonstrate registry scalability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SensorKind {
     // Embedded (phone)
     /// 3-axis accelerometer (m/s²); roughness comes from its windowed σ.

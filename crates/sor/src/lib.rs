@@ -10,8 +10,7 @@
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
-//! | [`core`] | `sor-core` | coverage-maximising sensing scheduler (greedy 1/2-approx over a matroid) + personalizable ranking (weighted-footrule aggregation via min-cost flow) |
-//! | [`flow`] | `sor-flow` | min-cost flow / Hungarian assignment substrate |
+//! | [`core`] | `sor-core` | coverage-maximising sensing scheduler (greedy 1/2-approx over a matroid) + personalizable ranking (weighted-footrule aggregation as a min-cost assignment with canonical ties) |
 //! | [`proto`] | `sor-proto` | binary wire protocol (varints, CRC-framed messages) |
 //! | [`script`] | `sor-script` | SenseScript — the Lua-like sensing-task DSL with a whitelisted interpreter |
 //! | [`sensors`] | `sor-sensors` | provider/manager sensor stack over synthetic environments |
@@ -19,6 +18,10 @@
 //! | [`store`] | `sor-store` | embedded typed table store (the PostgreSQL role) |
 //! | [`server`] | `sor-server` | sensing server: participation, scheduling, data processing, ranking |
 //! | [`sim`] | `sor-sim` | discrete-event world, lossy transport, the paper's §V scenarios |
+//!
+//! `sor-flow`, the paper's min-cost-flow formulation of the aggregation
+//! (§IV-B), is not re-exported: it is a test-only oracle that the ranking
+//! tests check the production assignment kernel against.
 //!
 //! # Quickstart
 //!
@@ -45,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub use sor_core as core;
-pub use sor_flow as flow;
 pub use sor_frontend as frontend;
 pub use sor_obs as obs;
 pub use sor_proto as proto;

@@ -273,7 +273,14 @@ impl Database {
         let mut db = Database::new();
         for _ in 0..n_tables {
             let name = r.get_str().map_err(|e| corrupt(&e.to_string()))?.to_string();
-            let n_cols = r.get_uvar().map_err(|e| corrupt(&e.to_string()))? as usize;
+            let n_cols = r.get_uvar().map_err(|e| corrupt(&e.to_string()))?;
+            // Each column spends at least 3 bytes (name length, type tag,
+            // nullable flag), so a larger count is forged: reject it
+            // before it sizes an allocation.
+            if n_cols > (r.remaining() / 3) as u64 {
+                return Err(corrupt(&format!("{n_cols} columns declared in a shorter snapshot")));
+            }
+            let n_cols = n_cols as usize;
             let mut schema = Schema::new(&name);
             let mut col_defs: Vec<Column> = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
@@ -446,6 +453,22 @@ mod tests {
                 "flip at {offset} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn forged_column_count_is_corrupt_not_a_panic() {
+        // A well-formed header and a valid CRC around one table that
+        // declares 2^58 columns: sizing a Vec by it would abort restore.
+        let mut w = Writer::new();
+        w.put_raw(b"SORD");
+        w.put_u8(SNAPSHOT_VERSION);
+        w.put_uvar(1);
+        w.put_str("t");
+        w.put_uvar(1 << 58);
+        let crc = crc32(w.as_slice());
+        w.put_u32(crc);
+        let bytes = w.into_bytes();
+        assert!(matches!(Database::restore(&bytes), Err(StoreError::CorruptSnapshot(_))));
     }
 
     #[test]

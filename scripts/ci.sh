@@ -16,6 +16,17 @@ run() {
 }
 
 run cargo build --release --offline --workspace
+# Dependency guard: sor-flow, the paper's min-cost-flow formulation of
+# rank aggregation, is a test-only oracle for the footrule kernel in
+# sor-core. No production package may depend on it.
+for pkg in sor-server sor; do
+    deps=$(cargo tree --offline -e normal -p "$pkg")
+    if printf '%s\n' "$deps" | grep -q 'sor-flow'; then
+        echo "FAIL $pkg depends on sor-flow outside dev-dependencies" >&2
+        exit 1
+    fi
+done
+echo "==> sor-flow is a dev-dependency only"
 # The whole suite at one worker and at four: SOR_THREADS must never
 # change what any test observes, only how fast it runs.
 run env SOR_THREADS=1 cargo test -q --offline --workspace

@@ -75,9 +75,10 @@ fn store_holds_proto_frames_byte_exact() {
 #[test]
 fn ranking_matches_direct_flow_solution() {
     // The §IV-B construction: aggregating through the public ranking API
-    // equals solving the assignment problem manually on sor-flow.
-    use sor::core::ranking::{aggregate, AggregationMethod, PlaceId, Ranking};
-    use sor::flow::assignment::{solve, Backend};
+    // reaches the optimum of the paper's min-cost-flow network, built
+    // here literally and solved by the sor-flow oracle.
+    use sor::core::ranking::{aggregate, weighted_footrule, AggregationMethod, PlaceId, Ranking};
+    use sor_flow::{Graph, MinCostFlow, NodeId};
 
     let rankings = vec![
         Ranking::from_order(vec![2, 0, 1, 3]).unwrap(),
@@ -85,31 +86,28 @@ fn ranking_matches_direct_flow_solution() {
         Ranking::from_order(vec![1, 0, 2, 3]).unwrap(),
     ];
     let weights = [3.0, 1.0, 2.0];
-    let agg = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+    let agg = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
 
-    // Manual cost matrix (integer weights → exact).
+    // Layout: 0 = s, 1..=n places, n+1..=2n positions, 2n+1 = z; integer
+    // weights keep the place→position costs exact.
     let n = 4;
-    let cost: Vec<Vec<i64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|p| {
-                    rankings
-                        .iter()
-                        .zip(weights)
-                        .map(|(r, w)| (w as i64) * (r.position_of(PlaceId(i)).abs_diff(p) as i64))
-                        .sum()
-                })
-                .collect()
-        })
-        .collect();
-    let sol = solve(&cost, Backend::Hungarian).unwrap();
-    let manual_cost: i64 = sol.total_cost;
-    let api_cost: f64 = rankings
-        .iter()
-        .zip(weights)
-        .map(|(r, w)| w * sor::core::ranking::footrule_distance(&agg, r) as f64)
-        .sum();
-    assert_eq!(api_cost as i64, manual_cost);
+    let mut g = Graph::new(2 * n + 2);
+    let (s, z) = (NodeId(0), NodeId(2 * n + 1));
+    for i in 0..n {
+        g.add_edge(s, NodeId(1 + i), 1, 0);
+        g.add_edge(NodeId(n + 1 + i), z, 1, 0);
+        for p in 0..n {
+            let cost: i64 = rankings
+                .iter()
+                .zip(weights)
+                .map(|(r, w)| (w as i64) * (r.position_of(PlaceId(i)).abs_diff(p) as i64))
+                .sum();
+            g.add_edge(NodeId(1 + i), NodeId(n + 1 + p), 1, cost);
+        }
+    }
+    let oracle = MinCostFlow::new(g).solve_exact(s, z, n as i64).unwrap();
+    assert_eq!(oracle.flow, n as i64);
+    assert_eq!(weighted_footrule(&agg, &rankings, &weights), oracle.cost as f64);
 }
 
 #[test]

@@ -92,7 +92,7 @@ fn footrule_aggregation_two_approximates_kemeny_on_field_data() {
         let gamma = sor::core::ranking::distance_matrix(&out.matrix, &prefs).unwrap();
         let rankings = individual_rankings(&gamma);
         let weights = prefs.weights();
-        let foot = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        let foot = aggregate(&rankings, &weights, AggregationMethod::Footrule).unwrap();
         let exact = aggregate(&rankings, &weights, AggregationMethod::KemenyExact).unwrap();
         let foot_cost = weighted_kemeny(&foot, &rankings, &weights);
         let best_cost = weighted_kemeny(&exact, &rankings, &weights);
