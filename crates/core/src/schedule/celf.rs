@@ -1,11 +1,12 @@
-//! Shared CELF machinery: the stale-bound max-heap entry and the user
-//! attribution rule.
+//! The CELF kernel: the one pop/refresh/commit loop, the stale-bound
+//! max-heap entry and the user attribution rule.
 //!
 //! Both the batch lazy solver ([`crate::schedule::lazy_greedy`]) and the
-//! incremental online planner ([`crate::schedule::online`]) must produce
-//! schedules bit-identical to plain greedy. That only holds if every
-//! solver breaks ties the exact same way, so the two rules live here and
-//! nowhere else:
+//! incremental online planner ([`crate::schedule::online`]) run
+//! [`select`]; they differ only in how they build the initial heap. The
+//! output must be bit-identical to plain greedy, which only holds if
+//! every solver breaks ties the exact same way, so the two rules live
+//! here and nowhere else:
 //!
 //! - **Instant selection**: maximum marginal gain, ties toward the
 //!   *earlier* instant ([`Entry`]'s `Ord`).
@@ -14,8 +15,12 @@
 //!   ([`attribute_user`]).
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-use crate::schedule::UserId;
+use crate::coverage::CoverageState;
+use crate::matroid::SenseAction;
+use crate::schedule::{GreedyStats, UserId};
+use crate::time::InstantId;
 
 /// Max-heap entry: a cached marginal-gain bound for one instant.
 ///
@@ -67,6 +72,60 @@ pub(crate) fn attribute_user(users: &[UserId], remaining: &[usize]) -> UserId {
         .filter(|u| remaining[u.0] > 0)
         .max_by_key(|u| (remaining[u.0], std::cmp::Reverse(u.0)))
         .expect("feasibility was just checked")
+}
+
+/// Runs CELF selection to exhaustion from a pre-built heap and returns
+/// the committed actions in selection order.
+///
+/// Each pop is one of three things. An instant no present user can
+/// still afford is discarded for good (budgets never regrow within a
+/// run). A bound from an earlier round is refreshed against `state` and
+/// pushed back; submodularity makes it an upper bound, so it cannot
+/// jump the queue. A bound from the current round is exact and
+/// maximal, so it is committed to the user [`attribute_user`] picks.
+///
+/// `on_first_round_eval(instant, gain)` sees every refresh made before
+/// the first commit, while `state` still holds only what the caller put
+/// in it. The online planner keeps those gains as bounds for later
+/// replans; the batch solver ignores them. Work is added to `stats`:
+/// one `heap_pops` per pop, one `gain_evaluations` and one
+/// `bound_reinserts` per refresh, one `iterations` per commit.
+pub(crate) fn select(
+    mut heap: BinaryHeap<Entry>,
+    state: &mut CoverageState<'_>,
+    users_at: &[Vec<UserId>],
+    remaining: &mut [usize],
+    stats: &mut GreedyStats,
+    mut on_first_round_eval: impl FnMut(usize, f64),
+) -> Vec<SenseAction> {
+    let mut round = 0usize;
+    let mut actions = Vec::new();
+    while let Some(top) = heap.pop() {
+        stats.heap_pops += 1;
+        let i = top.instant;
+        if !users_at[i].iter().any(|u| remaining[u.0] > 0) {
+            continue; // permanently infeasible: budgets never regrow
+        }
+        if top.round != round {
+            // Stale bound: refresh and push back.
+            let gain = state.marginal_gain(InstantId(i));
+            stats.gain_evaluations += 1;
+            stats.bound_reinserts += 1;
+            if round == 0 {
+                on_first_round_eval(i, gain);
+            }
+            heap.push(Entry { gain, instant: i, round });
+            continue;
+        }
+        // Exact and maximal: commit.
+        let user = attribute_user(&users_at[i], remaining);
+        remaining[user.0] -= 1;
+        state.add(InstantId(i));
+        actions.push(SenseAction { user, instant: i });
+        round += 1;
+        stats.iterations += 1;
+    }
+    actions
 }
 
 #[cfg(test)]

@@ -61,8 +61,9 @@ pub fn greedy(problem: &ScheduleProblem) -> Schedule {
 
 /// Plain greedy starting from pre-existing coverage: the instants in
 /// `seed` are treated as already measured (they consume no budget and
-/// are not re-selectable). Used by the online scheduler to plan the
-/// future around an executed prefix.
+/// are not re-selectable). The online scheduler's oracle,
+/// [`crate::schedule::OnlineScheduler::replan_from_scratch`], uses it to
+/// plan the future around an executed prefix.
 pub fn greedy_seeded(problem: &ScheduleProblem, seed: &[InstantId]) -> Schedule {
     greedy_seeded_stats(problem, seed).0
 }

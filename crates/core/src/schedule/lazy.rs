@@ -11,14 +11,14 @@
 //! present user with budget) also only shrinks, so infeasible pops are
 //! discarded permanently.
 //!
-//! The shared tie-breaking rules live in [`crate::schedule::celf`]; the
-//! online scheduler's incremental planner reuses them so all solvers
-//! stay bit-identical to plain greedy.
+//! The selection loop and its tie-breaking rules live in
+//! [`crate::schedule::celf`]; this solver only builds the first heap,
+//! from one full gain sweep. The online scheduler's incremental planner
+//! runs the same loop from persisted bounds instead.
 
 use std::collections::BinaryHeap;
 
-use crate::matroid::SenseAction;
-use crate::schedule::celf::{attribute_user, Entry};
+use crate::schedule::celf::{self, Entry};
 use crate::schedule::greedy::GreedyStats;
 use crate::schedule::{Schedule, ScheduleProblem, UserId};
 use crate::time::InstantId;
@@ -55,8 +55,6 @@ pub fn lazy_greedy_stats(problem: &ScheduleProblem) -> (Schedule, GreedyStats) {
     }
 
     let mut state = problem.coverage_state();
-    let mut schedule = Schedule::new();
-    let mut round = 0usize;
 
     // First round: every feasible instant needs a gain bound, and the
     // empty-solution gains are independent reads of `state`, so they
@@ -68,35 +66,14 @@ pub fn lazy_greedy_stats(problem: &ScheduleProblem) -> (Schedule, GreedyStats) {
         state.marginal_gain(InstantId(i))
     });
     stats.gain_evaluations += feasible.len() as u64;
-    let mut heap: BinaryHeap<Entry> = feasible
+    let heap: BinaryHeap<Entry> = feasible
         .iter()
         .zip(&gains)
-        .map(|(&instant, &gain)| Entry { gain, instant, round })
+        .map(|(&instant, &gain)| Entry { gain, instant, round: 0 })
         .collect();
 
-    while let Some(top) = heap.pop() {
-        stats.heap_pops += 1;
-        let i = top.instant;
-        if !users_at[i].iter().any(|u| remaining[u.0] > 0) {
-            continue; // permanently infeasible: budgets never regrow
-        }
-        if top.round != round {
-            // Stale bound: refresh and push back.
-            let gain = state.marginal_gain(InstantId(i));
-            stats.gain_evaluations += 1;
-            stats.bound_reinserts += 1;
-            heap.push(Entry { gain, instant: i, round });
-            continue;
-        }
-        // Exact and maximal: commit.
-        let user = attribute_user(&users_at[i], &remaining);
-        remaining[user.0] -= 1;
-        state.add(InstantId(i));
-        schedule.push(SenseAction { user, instant: i });
-        round += 1;
-        stats.iterations += 1;
-    }
-    (schedule, stats)
+    let actions = celf::select(heap, &mut state, &users_at, &mut remaining, &mut stats, |_, _| {});
+    (Schedule::from_actions(actions), stats)
 }
 
 #[cfg(test)]

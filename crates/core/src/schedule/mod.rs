@@ -12,19 +12,18 @@
 //!   kernel windowing, 1/2-approximate.
 //! - [`lazy_greedy`]: identical output, accelerated with full-CELF lazy
 //!   marginal evaluation (valid because gains only shrink as the
-//!   solution grows).
-//! - [`stochastic_greedy`]: sampled greedy — `O(N·ln(1/ε))` total
-//!   evaluations for a `(1 − 1/e − ε)` guarantee; seeded and
-//!   deterministic.
+//!   solution grows). Its selection loop is the one CELF kernel in
+//!   `celf`, shared with the online planner.
 //! - [`baseline`]: the §V-C comparison — each phone senses every
 //!   `interval` seconds from its arrival until its budget is exhausted.
 //! - [`brute_force`]: exact optimum by exhaustive search, for tiny
 //!   instances only; used to validate the 1/2 approximation bound.
 //! - [`online::OnlineScheduler`]: arrival/departure-driven rescheduling
-//!   in the style of the deployed Sensing Scheduler (§II-B), with
-//!   incremental CELF repair, solver selection
-//!   ([`online::SolverKind`], env `SOR_SCHED_SOLVER`), and per-task
-//!   value decay ([`DecayCurve`]).
+//!   in the style of the deployed Sensing Scheduler (§II-B). Incremental
+//!   CELF repair is its only replan path; plain greedy re-run from
+//!   scratch ([`OnlineScheduler::replan_from_scratch`]) is the oracle it
+//!   must match after every event. Objectives may carry per-task value
+//!   decay ([`DecayCurve`]).
 
 mod baseline;
 mod brute;
@@ -34,7 +33,6 @@ mod greedy;
 mod lazy;
 pub mod online;
 mod problem;
-mod stochastic;
 mod types;
 
 pub use baseline::{baseline, baseline_with_interval};
@@ -42,7 +40,6 @@ pub use brute::{brute_force, optimal_value};
 pub use decay::DecayCurve;
 pub use greedy::{greedy, greedy_seeded, greedy_seeded_stats, GreedyStats};
 pub use lazy::{lazy_greedy, lazy_greedy_stats};
-pub use online::{OnlineScheduler, SolverKind};
+pub use online::OnlineScheduler;
 pub use problem::ScheduleProblem;
-pub use stochastic::{stochastic_greedy, stochastic_greedy_seeded_stats};
 pub use types::{Participant, Schedule, UserId};

@@ -8,81 +8,33 @@
 //! while honouring readings that have already been taken.
 //!
 //! [`OnlineScheduler`] keeps the executed prefix immutable and re-plans
-//! the future on every participation change. Three interchangeable
-//! solvers are offered (selected by [`SolverKind`], env knob
-//! `SOR_SCHED_SOLVER`):
+//! the future on every participation change by *incremental CELF
+//! repair*. Marginal gains depend only on the executed seed set, never
+//! on who is present, and the seed only grows (planned actions can be
+//! torn down, executed ones cannot). So every gain ever evaluated
+//! against a seed state is a valid CELF upper bound for all future
+//! replans. The scheduler persists those bounds per instant (tagged
+//! with the seed length they were computed at) and re-plans by
+//! re-heaping them with zero evaluations: bounds at the current seed
+//! length pop as exact, older ones refresh lazily, and instants made
+//! newly feasible by an arrival enter at +∞ and get their first
+//! evaluation on pop. Churn therefore costs work proportional to what
+//! actually changed.
 //!
-//! - **Exact**: from-scratch seeded plain greedy — the reference.
-//! - **Celf** (default): *incremental* repair. Marginal gains depend
-//!   only on the executed seed set, never on who is present, and the
-//!   seed only grows (planned actions can be torn down, executed ones
-//!   cannot). So every gain ever evaluated against a seed state is a
-//!   valid CELF upper bound for all future replans. The scheduler
-//!   persists those bounds per instant (tagged with the seed length
-//!   they were computed at) and re-plans by re-heaping them with zero
-//!   evaluations: bounds at the current seed length pop as exact,
-//!   older ones refresh lazily, and instants made newly feasible by an
-//!   arrival enter at +∞ and get their first evaluation on pop. Churn
-//!   therefore costs work proportional to what actually changed, while
-//!   the output stays bit-identical to Exact (shared tie-breaking in
-//!   [`crate::schedule::celf`]).
-//! - **Stochastic**: from-scratch sampled greedy
-//!   ([`crate::schedule::stochastic_greedy`]) with a per-replan
-//!   deterministic seed — for metro-sized instances where even one
-//!   full sweep per churn event is too much; `(1 − 1/e − ε)`-quality.
+//! The output is bit-identical to re-running plain greedy from scratch
+//! on the remaining budgets and instants.
+//! [`OnlineScheduler::replan_from_scratch`] is that reference, kept as
+//! a test oracle; no production path calls it.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use crate::coverage::{CoverageModel, CoverageState};
 use crate::matroid::SenseAction;
-use crate::schedule::celf::{attribute_user, Entry, STALE};
+use crate::schedule::celf::{self, Entry, STALE};
 use crate::schedule::greedy::{greedy_seeded_stats, GreedyStats};
-use crate::schedule::stochastic::stochastic_greedy_seeded_stats;
 use crate::schedule::{DecayCurve, Participant, Schedule, ScheduleProblem, UserId};
 use crate::time::{InstantId, TimeGrid};
-
-/// Which solver the online scheduler runs on each replan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// From-scratch seeded plain greedy (the reference output).
-    Exact,
-    /// Incremental CELF repair — bit-identical to `Exact`, work
-    /// proportional to change. The default.
-    #[default]
-    Celf,
-    /// From-scratch sampled greedy — approximate but `O(N·ln(1/ε))`
-    /// total evaluations per replan.
-    Stochastic,
-}
-
-impl SolverKind {
-    /// Parses a knob value (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "exact" | "greedy" => Some(SolverKind::Exact),
-            "celf" | "incremental" | "lazy" => Some(SolverKind::Celf),
-            "stochastic" | "sampled" => Some(SolverKind::Stochastic),
-            _ => None,
-        }
-    }
-
-    /// Reads `SOR_SCHED_SOLVER` (exact | celf | stochastic), defaulting
-    /// to [`SolverKind::Celf`] — safe because Celf output is
-    /// bit-identical to Exact.
-    pub fn from_env() -> Self {
-        std::env::var("SOR_SCHED_SOLVER").ok().and_then(|v| Self::parse(&v)).unwrap_or_default()
-    }
-
-    /// Stable lowercase name (used as a metric label).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolverKind::Exact => "exact",
-            SolverKind::Celf => "celf",
-            SolverKind::Stochastic => "stochastic",
-        }
-    }
-}
 
 /// A marginal gain persisted across replans, tagged with the executed
 /// seed length it was evaluated at. Valid upper bound forever (the seed
@@ -141,20 +93,12 @@ pub struct OnlineScheduler {
     stats: GreedyStats,
     /// Value-decay curve applied to the objective.
     decay: DecayCurve,
-    /// Solver used on each replan.
-    solver: SolverKind,
     /// users_at[i]: users whose (possibly truncated) stay covers instant
     /// `i`. Maintained incrementally on arrival/departure so replans pay
     /// for the churning user's window, not the whole problem.
     users_at: Vec<Vec<UserId>>,
-    /// Per-instant seed-versioned gain bounds persisted across replans
-    /// (Celf solver).
+    /// Per-instant seed-versioned gain bounds persisted across replans.
     bounds: Vec<Option<Bound>>,
-    /// Sampling slack for the stochastic solver.
-    stoch_epsilon: f64,
-    /// Base PRNG seed for the stochastic solver; each replan derives a
-    /// distinct deterministic stream from it.
-    stoch_seed: u64,
 }
 
 impl std::fmt::Debug for OnlineScheduler {
@@ -164,7 +108,6 @@ impl std::fmt::Debug for OnlineScheduler {
             .field("participants", &self.participants.len())
             .field("executed", &self.executed.len())
             .field("planned", &self.planned.len())
-            .field("solver", &self.solver)
             .field("decay", &self.decay)
             .finish()
     }
@@ -189,11 +132,8 @@ impl OnlineScheduler {
             events: Vec::new(),
             stats: GreedyStats::default(),
             decay: DecayCurve::Constant,
-            solver: SolverKind::from_env(),
             users_at: vec![Vec::new(); n],
             bounds: vec![None; n],
-            stoch_epsilon: 0.1,
-            stoch_seed: 0x5EED,
         }
     }
 
@@ -204,26 +144,6 @@ impl OnlineScheduler {
         debug_assert!(self.executed.is_empty() && self.planned.is_empty());
         self.decay = decay;
         self
-    }
-
-    /// Selects the replan solver (overrides `SOR_SCHED_SOLVER`).
-    #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Configures the stochastic solver's sampling slack and base seed.
-    #[must_use]
-    pub fn with_stochastic(mut self, epsilon: f64, seed: u64) -> Self {
-        self.stoch_epsilon = epsilon;
-        self.stoch_seed = seed;
-        self
-    }
-
-    /// The solver in use.
-    pub fn solver(&self) -> SolverKind {
-        self.solver
     }
 
     /// The decay curve in force.
@@ -263,7 +183,12 @@ impl OnlineScheduler {
         &self.events
     }
 
-    /// Cumulative solver work (selection rounds, marginal-gain
+    /// Future actions of the current plan, in selection order.
+    pub fn planned(&self) -> &[SenseAction] {
+        &self.planned
+    }
+
+    /// Cumulative planner work (selection rounds, marginal-gain
     /// evaluations, heap traffic, replans) across every reschedule this
     /// period.
     pub fn stats(&self) -> GreedyStats {
@@ -339,20 +264,13 @@ impl OnlineScheduler {
         self.reschedule();
     }
 
-    /// Recomputes the future plan with the configured solver.
-    fn reschedule(&mut self) {
-        self.stats.replans += 1;
-        match self.solver {
-            SolverKind::Celf => self.reschedule_incremental(),
-            SolverKind::Exact | SolverKind::Stochastic => self.reschedule_from_scratch(),
-        }
-        self.events
-            .push(OnlineEvent::Rescheduled { at: self.now, future_actions: self.planned.len() });
-    }
-
-    /// From-scratch replan: remaining budgets over remaining instants,
-    /// seeded with the executed prefix (Exact and Stochastic solvers).
-    fn reschedule_from_scratch(&mut self) {
+    /// The test oracle: plain greedy (Algorithm 1) re-run from scratch
+    /// on the remaining budgets over the remaining instants, seeded with
+    /// the executed prefix. The incremental plan must equal its schedule
+    /// bit for bit after every event — same instants, same users, same
+    /// order. Read-only: it neither changes the plan nor adds to
+    /// [`Self::stats`], and no production path calls it.
+    pub fn replan_from_scratch(&self) -> (Schedule, GreedyStats) {
         let mut executed_counts: HashMap<UserId, usize> = HashMap::new();
         for a in &self.executed {
             *executed_counts.entry(a.user).or_insert(0) += 1;
@@ -374,20 +292,10 @@ impl OnlineScheduler {
             ScheduleProblem::from_arc(self.grid, Arc::clone(&self.model), future_participants)
                 .with_decay(self.decay);
         let seed: Vec<InstantId> = self.executed.iter().map(|a| InstantId(a.instant)).collect();
-        let (schedule, stats) = match self.solver {
-            SolverKind::Stochastic => {
-                // `replans` was already bumped, so each replan draws a
-                // distinct — but reproducible — sample stream.
-                let rng_seed = self.stoch_seed.wrapping_add(self.stats.replans);
-                stochastic_greedy_seeded_stats(&problem, &seed, self.stoch_epsilon, rng_seed)
-            }
-            _ => greedy_seeded_stats(&problem, &seed),
-        };
-        self.stats.absorb(stats);
-        self.planned = schedule.assignments().to_vec();
+        greedy_seeded_stats(&problem, &seed)
     }
 
-    /// Incremental CELF repair (the Celf solver).
+    /// Recomputes the future plan by incremental CELF repair.
     ///
     /// Correctness argument, in three parts:
     ///
@@ -404,13 +312,15 @@ impl OnlineScheduler {
     ///    length was evaluated against exactly this seed state (same
     ///    prefix, same insertion order, same floats), so at round 0 it
     ///    is the true gain and may be committed without re-evaluation.
-    /// 3. *Output matches Exact bit-for-bit.* Both build the identical
-    ///    seed state, consider the identical candidate set (instants at
-    ///    time ≥ now inside someone's clamped stay), compare gains
-    ///    produced by the identical float pipeline, and share tie-break
-    ///    rules via [`crate::schedule::celf`]; CELF's pop-exact rule
-    ///    then selects the same argmax every round.
-    fn reschedule_incremental(&mut self) {
+    /// 3. *Output matches the oracle bit-for-bit.* This and
+    ///    [`Self::replan_from_scratch`] build the identical seed state,
+    ///    consider the identical candidate set (instants at time ≥ now
+    ///    inside someone's clamped stay), compare gains produced by the
+    ///    identical float pipeline, and share tie-break rules via
+    ///    [`crate::schedule::celf`]; CELF's pop-exact rule then selects
+    ///    the same argmax every round.
+    fn reschedule(&mut self) {
+        self.stats.replans += 1;
         let grid = self.grid;
         let model = Arc::clone(&self.model);
         let n = grid.len();
@@ -418,7 +328,7 @@ impl OnlineScheduler {
 
         // Remaining budget per user: registered budget minus executed
         // readings. Users whose stay already ended contribute nothing —
-        // mirrors the from-scratch filter `departure <= now`.
+        // mirrors the oracle's filter `departure <= now`.
         let max_id = self.participants.iter().map(|p| p.user.0 + 1).max().unwrap_or(0);
         let mut remaining = vec![0usize; max_id];
         for p in &self.participants {
@@ -435,7 +345,7 @@ impl OnlineScheduler {
 
         // Rebuild the seed coverage state: O(|executed|·window) kernel
         // work, zero gain evaluations, same insertion order as the
-        // from-scratch path ⇒ identical floats.
+        // oracle ⇒ identical floats.
         let mut state = CoverageState::weighted(&grid, &*model, self.decay.weights(&grid));
         let mut taken = vec![false; n];
         for a in &self.executed {
@@ -447,7 +357,7 @@ impl OnlineScheduler {
         // current seed length, stale upper bound otherwise; candidates
         // never bounded before (e.g. an arrival opened their window)
         // enter at +∞ and get their first evaluation on pop.
-        let mut heap: BinaryHeap<Entry> = (0..n)
+        let heap: BinaryHeap<Entry> = (0..n)
             .filter(|&i| {
                 !taken[i] && !self.users_at[i].is_empty() && grid.time_of(InstantId(i)) >= self.now
             })
@@ -458,35 +368,20 @@ impl OnlineScheduler {
             })
             .collect();
 
-        let mut round = 0usize;
-        let mut planned = Vec::new();
-        while let Some(top) = heap.pop() {
-            self.stats.heap_pops += 1;
-            let i = top.instant;
-            if !self.users_at[i].iter().any(|u| remaining[u.0] > 0) {
-                continue; // infeasible for the rest of this replan
-            }
-            if top.round != round {
-                let gain = state.marginal_gain(InstantId(i));
-                self.stats.gain_evaluations += 1;
-                self.stats.bound_reinserts += 1;
-                if round == 0 {
-                    // Evaluated against the pure seed state: a durable
-                    // upper bound for every future replan.
-                    self.bounds[i] = Some(Bound { gain, seed_len });
-                }
-                heap.push(Entry { gain, instant: i, round });
-                continue;
-            }
-            let user = attribute_user(&self.users_at[i], &remaining);
-            remaining[user.0] -= 1;
-            state.add(InstantId(i));
-            planned.push(SenseAction { user, instant: i });
-            round += 1;
-            self.stats.iterations += 1;
-        }
-        self.planned = planned;
+        // Round-0 refreshes were evaluated against the pure seed state:
+        // durable upper bounds for every future replan.
+        let bounds = &mut self.bounds;
+        self.planned = celf::select(
+            heap,
+            &mut state,
+            &self.users_at,
+            &mut remaining,
+            &mut self.stats,
+            |i, gain| bounds[i] = Some(Bound { gain, seed_len }),
+        );
         self.stats.incremental_repairs += 1;
+        self.events
+            .push(OnlineEvent::Rescheduled { at: self.now, future_actions: self.planned.len() });
     }
 }
 
@@ -498,11 +393,6 @@ mod tests {
     fn scheduler() -> OnlineScheduler {
         let grid = TimeGrid::new(0.0, 1000.0, 100).unwrap();
         OnlineScheduler::new(grid, GaussianCoverage::new(10.0))
-    }
-
-    fn scheduler_with(solver: SolverKind) -> OnlineScheduler {
-        let grid = TimeGrid::new(0.0, 1000.0, 100).unwrap();
-        OnlineScheduler::new(grid, GaussianCoverage::new(10.0)).with_solver(solver)
     }
 
     #[test]
@@ -623,19 +513,10 @@ mod tests {
         assert_eq!(after_second.replans, 2);
     }
 
-    #[test]
-    fn solver_kind_parses_knob_values() {
-        assert_eq!(SolverKind::parse("exact"), Some(SolverKind::Exact));
-        assert_eq!(SolverKind::parse("CELF"), Some(SolverKind::Celf));
-        assert_eq!(SolverKind::parse("Stochastic"), Some(SolverKind::Stochastic));
-        assert_eq!(SolverKind::parse("nonsense"), None);
-        assert_eq!(SolverKind::default(), SolverKind::Celf);
-        assert_eq!(SolverKind::Celf.name(), "celf");
-    }
-
-    /// Drives two schedulers through the same churn trace and asserts
-    /// their schedules agree bit-for-bit at every step.
-    fn assert_trace_identical(mut a: OnlineScheduler, mut b: OnlineScheduler) {
+    /// Drives a scheduler through a fixed churn trace and asserts after
+    /// every arrival and departure that its plan equals the plain-greedy
+    /// oracle's bit for bit. Returns the oracle's summed work.
+    fn assert_trace_matches_oracle(mut s: OnlineScheduler) -> GreedyStats {
         let trace: &[(&str, usize, f64, f64, usize)] = &[
             ("arrive", 0, 0.0, 900.0, 5),
             ("arrive", 1, 50.0, 600.0, 4),
@@ -648,112 +529,80 @@ mod tests {
             ("depart", 2, 700.0, 0.0, 0),
             ("arrive", 4, 800.0, 1000.0, 2),
         ];
+        let mut oracle_work = GreedyStats::default();
         for &(op, user, t, dep, budget) in trace {
             match op {
-                "arrive" => {
-                    a.arrive(UserId(user), t, dep, budget);
-                    b.arrive(UserId(user), t, dep, budget);
-                }
-                "depart" => {
-                    a.depart(UserId(user), t);
-                    b.depart(UserId(user), t);
-                }
+                "arrive" => s.arrive(UserId(user), t, dep, budget),
+                "depart" => s.depart(UserId(user), t),
                 _ => {
-                    a.advance_to(t);
-                    b.advance_to(t);
+                    s.advance_to(t);
+                    continue;
                 }
             }
+            let (plan, work) = s.replan_from_scratch();
+            oracle_work.absorb(work);
             assert_eq!(
-                a.current_schedule(),
-                b.current_schedule(),
-                "solvers diverged after {op} u{user} at t={t}"
+                plan.assignments(),
+                s.planned(),
+                "plan diverged after {op} u{user} at t={t}"
             );
         }
-        assert_eq!(a.coverage().to_bits(), b.coverage().to_bits());
+        oracle_work
     }
 
     #[test]
     fn celf_is_bit_identical_to_exact_over_churn() {
-        assert_trace_identical(scheduler_with(SolverKind::Exact), scheduler_with(SolverKind::Celf));
+        assert_trace_matches_oracle(scheduler());
     }
 
     #[test]
     fn celf_matches_exact_under_decay() {
         let grid = TimeGrid::new(0.0, 1000.0, 100).unwrap();
         for decay in [DecayCurve::linear(0.0008), DecayCurve::exponential(0.002)] {
-            let a = OnlineScheduler::new(grid, GaussianCoverage::new(10.0))
-                .with_solver(SolverKind::Exact)
-                .with_decay(decay);
-            let b = OnlineScheduler::new(grid, GaussianCoverage::new(10.0))
-                .with_solver(SolverKind::Celf)
-                .with_decay(decay);
-            assert_trace_identical(a, b);
+            assert_trace_matches_oracle(
+                OnlineScheduler::new(grid, GaussianCoverage::new(10.0)).with_decay(decay),
+            );
         }
+    }
+
+    #[test]
+    fn oracle_is_read_only() {
+        let mut s = scheduler();
+        s.arrive(UserId(0), 0.0, 1000.0, 4);
+        s.advance_to(300.0);
+        let (planned, stats) = (s.planned().to_vec(), s.stats());
+        let first = s.replan_from_scratch();
+        assert_eq!(s.replan_from_scratch(), first);
+        assert_eq!((s.planned(), s.stats()), (&planned[..], stats));
     }
 
     #[test]
     fn celf_repairs_cost_far_less_than_full_replans() {
-        let mut exact = scheduler_with(SolverKind::Exact);
-        let mut celf = scheduler_with(SolverKind::Celf);
-        for s in [&mut exact, &mut celf] {
-            s.arrive(UserId(0), 0.0, 1000.0, 4);
-            s.arrive(UserId(1), 100.0, 800.0, 4);
-            s.advance_to(250.0);
-            s.arrive(UserId(2), 250.0, 1000.0, 4);
-            s.depart(UserId(1), 400.0);
-            s.arrive(UserId(3), 550.0, 1000.0, 4);
-            s.arrive(UserId(4), 700.0, 1000.0, 4);
-        }
-        assert_eq!(exact.current_schedule(), celf.current_schedule());
-        let (e, c) = (exact.stats(), celf.stats());
-        assert_eq!(c.incremental_repairs, c.replans, "every Celf replan is a repair");
-        assert_eq!(e.incremental_repairs, 0);
+        let mut s = scheduler();
+        let mut full = GreedyStats::default();
+        let mut step = |s: &mut OnlineScheduler| full.absorb(s.replan_from_scratch().1);
+        s.arrive(UserId(0), 0.0, 1000.0, 4);
+        step(&mut s);
+        s.arrive(UserId(1), 100.0, 800.0, 4);
+        step(&mut s);
+        s.advance_to(250.0);
+        s.arrive(UserId(2), 250.0, 1000.0, 4);
+        step(&mut s);
+        s.depart(UserId(1), 400.0);
+        step(&mut s);
+        s.arrive(UserId(3), 550.0, 1000.0, 4);
+        step(&mut s);
+        s.arrive(UserId(4), 700.0, 1000.0, 4);
+        step(&mut s);
+        let c = s.stats();
+        assert_eq!(c.incremental_repairs, c.replans, "every replan is a repair");
+        assert_eq!(full.incremental_repairs, 0);
         assert!(
-            c.gain_evaluations * 2 < e.gain_evaluations,
-            "incremental repair should cost far fewer evals: celf {} vs exact {}",
+            c.gain_evaluations * 2 < full.gain_evaluations,
+            "incremental repair should cost far fewer evals: celf {} vs from-scratch {}",
             c.gain_evaluations,
-            e.gain_evaluations
+            full.gain_evaluations
         );
         assert!(c.heap_pops > 0 && c.bound_reinserts > 0);
-    }
-
-    #[test]
-    fn stochastic_solver_is_deterministic_and_feasible() {
-        let run = || {
-            let mut s = scheduler_with(SolverKind::Stochastic);
-            s.arrive(UserId(0), 0.0, 900.0, 5);
-            s.arrive(UserId(1), 100.0, 700.0, 4);
-            s.advance_to(300.0);
-            s.arrive(UserId(2), 300.0, 1000.0, 6);
-            s.depart(UserId(1), 450.0);
-            s
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.current_schedule(), b.current_schedule());
-        let plan = a.current_schedule();
-        assert!(plan.load_of(UserId(0)) <= 5);
-        assert!(plan.load_of(UserId(1)) <= 4);
-        assert!(plan.load_of(UserId(2)) <= 6);
-        assert!(a.coverage() > 0.0);
-    }
-
-    #[test]
-    fn stochastic_quality_close_to_exact_online() {
-        let mut exact = scheduler_with(SolverKind::Exact);
-        let mut stoch = scheduler_with(SolverKind::Stochastic);
-        for s in [&mut exact, &mut stoch] {
-            s.arrive(UserId(0), 0.0, 1000.0, 6);
-            s.arrive(UserId(1), 150.0, 850.0, 5);
-            s.advance_to(400.0);
-            s.arrive(UserId(2), 400.0, 1000.0, 4);
-        }
-        let threshold = 1.0 - (-1.0f64).exp() - 0.1;
-        assert!(
-            stoch.coverage() >= threshold * exact.coverage(),
-            "stochastic {} < {threshold:.3} × exact {}",
-            stoch.coverage(),
-            exact.coverage()
-        );
     }
 }

@@ -54,7 +54,7 @@ impl ScheduleProblem {
 
     /// Applies a value-decay curve to the objective: covering instant
     /// `t_j` is worth `w(t_j − start)` instead of 1. All solvers
-    /// (greedy, lazy/CELF, stochastic, brute force) and `evaluate`
+    /// (greedy, lazy/CELF, the online planner, brute force) and `evaluate`
     /// honour the curve because they share [`Self::coverage_state`].
     #[must_use]
     pub fn with_decay(mut self, decay: DecayCurve) -> Self {

@@ -524,6 +524,39 @@ mod tests {
     }
 
     #[test]
+    fn forged_flight_ring_is_ignored_not_fatal() {
+        let disk = SimDisk::new(43);
+        let (mut ddb, _) = open_sim(&disk, DurableOptions::default());
+        seed_rows(&mut ddb, 2);
+        ddb.checkpoint().unwrap();
+        let snapshot = ddb.db().snapshot();
+        drop(ddb);
+        // A CRC-valid checkpoint whose flight ring declares u32::MAX
+        // entries (capacity u32::MAX, one ring "server") with none
+        // following: recovery must skip the ring, not abort on it.
+        let mut ring = Vec::new();
+        ring.extend_from_slice(&u32::MAX.to_le_bytes());
+        ring.extend_from_slice(&1u32.to_le_bytes());
+        ring.extend_from_slice(&6u32.to_le_bytes());
+        ring.extend_from_slice(b"server");
+        ring.extend_from_slice(&0u64.to_le_bytes());
+        ring.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut w = Writer::new();
+        w.put_uvar(1);
+        w.put_bytes(&snapshot);
+        w.put_bytes(&ring);
+        let mut storage: Box<dyn Storage> = Box::new(disk.clone());
+        storage.write_atomic(CHECKPOINT_FILE, &encode_frame(w.as_slice())).unwrap();
+        disk.crash();
+        let rec = Recorder::enabled().with_flight(8);
+        let (ddb, report) =
+            DurableDatabase::open(Box::new(disk.clone()), DurableOptions::default(), rec, 1.0)
+                .unwrap();
+        assert!(report.had_checkpoint);
+        assert_eq!(count(&ddb), 2);
+    }
+
+    #[test]
     fn flightless_checkpoint_keeps_the_legacy_layout() {
         let disk = SimDisk::new(41);
         let (mut ddb, _) = open_sim(&disk, DurableOptions::default());

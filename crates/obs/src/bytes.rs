@@ -13,7 +13,10 @@
 //!   by the payload when present;
 //! - readers advance a `pos` cursor and return `None` on any structural
 //!   inconsistency (short buffer, invalid UTF-8, bad tag); callers
-//!   reject trailing bytes themselves (`pos != bytes.len()`).
+//!   reject trailing bytes themselves (`pos != bytes.len()`);
+//! - a declared element count is checked with [`count_fits`] before it
+//!   sizes an allocation, so a forged count cannot ask for more memory
+//!   than the input could ever fill.
 
 pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
@@ -95,6 +98,13 @@ pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
     Some(s)
 }
 
+/// Whether `n` elements of at least `min_elem_bytes` each can still fit
+/// in the unread part of `bytes` — the guard every reader applies to a
+/// declared count before reserving capacity for it.
+pub(crate) fn count_fits(bytes: &[u8], pos: usize, n: usize, min_elem_bytes: usize) -> bool {
+    n <= bytes.len().saturating_sub(pos) / min_elem_bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +154,17 @@ mod tests {
         out.extend_from_slice(&[0xFF, 0xFE]);
         let mut pos = 0;
         assert_eq!(get_str(&out, &mut pos), None);
+    }
+
+    #[test]
+    fn count_fits_bounds_by_unread_bytes() {
+        let bytes = [0u8; 10];
+        assert!(count_fits(&bytes, 0, 5, 2));
+        assert!(!count_fits(&bytes, 0, 6, 2));
+        assert!(count_fits(&bytes, 4, 3, 2));
+        assert!(!count_fits(&bytes, 4, 4, 2));
+        assert!(count_fits(&bytes, 12, 0, 3), "a cursor past the end fits nothing but zero");
+        assert!(!count_fits(&bytes, 12, 1, 3));
     }
 
     #[test]

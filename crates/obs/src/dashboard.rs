@@ -272,8 +272,8 @@ pub fn render_dashboard(
     }
 
     // Scheduler: replan and CELF work accounting (`sched.*` counters).
-    // The replan counter is labelled by solver, so the rows double as
-    // the "which solver is in use" display.
+    // Replans are counted per label; live runs export only `celf`, and
+    // any other label read from an archive is shown as recorded.
     out.push_str("\n-- scheduler --\n");
     let replan_rows: Vec<(&str, f64)> = counters
         .iter()

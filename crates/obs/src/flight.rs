@@ -17,7 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::bytes::{get_str, get_u32, get_u64, get_u8, put_str, put_u32, put_u64, put_u8};
+use crate::bytes::{
+    count_fits, get_str, get_u32, get_u64, get_u8, put_str, put_u32, put_u64, put_u8,
+};
 
 /// What a ring slot records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +237,8 @@ impl FlightRecorder {
     }
 
     /// Deserializes a blob written by [`FlightRecorder::to_bytes`].
-    /// Returns `None` on any structural inconsistency.
+    /// Returns `None` on any structural inconsistency, including a ring
+    /// count the remaining bytes cannot hold.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
         let capacity = get_u32(bytes, &mut pos)? as usize;
@@ -245,7 +248,9 @@ impl FlightRecorder {
             let comp = get_str(bytes, &mut pos)?;
             let pushed = get_u64(bytes, &mut pos)?;
             let n = get_u32(bytes, &mut pos)? as usize;
-            if n > capacity {
+            // An entry is at least a time, a kind byte and two string
+            // length prefixes.
+            if n > capacity || !count_fits(bytes, pos, n, 8 + 1 + 4 + 4) {
                 return None;
             }
             let mut ring = Ring::new();
@@ -347,6 +352,19 @@ mod tests {
             back.to_bytes(),
             FlightRecorder::from_bytes(&back.to_bytes()).unwrap().to_bytes()
         );
+    }
+
+    #[test]
+    fn forged_ring_count_is_rejected_not_allocated() {
+        // capacity = n = u32::MAX for one ring with no entries: the count
+        // passes `n <= capacity` but the blob ends right after it.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::MAX);
+        put_u32(&mut bytes, 1);
+        put_str(&mut bytes, "server");
+        put_u64(&mut bytes, 0);
+        put_u32(&mut bytes, u32::MAX);
+        assert!(FlightRecorder::from_bytes(&bytes).is_none());
     }
 
     #[test]

@@ -119,8 +119,6 @@ mod tests {
             "sched.bounds_reinserted",
             "sched.repairs_run",
             "sched.replans_run.celf",
-            "sched.replans_run.exact",
-            "sched.replans_run.stochastic",
             // PR 10: run-archive and cross-run diff names.
             "archive.bytes_written",
             "archive.spans_archived",

@@ -19,7 +19,7 @@
 //! pipeline paths (message handling, dispatch), never inside worker
 //! fan-outs.
 
-use crate::bytes::{get_str, get_u32, get_u64, put_str, put_u32, put_u64};
+use crate::bytes::{count_fits, get_str, get_u32, get_u64, put_str, put_u32, put_u64};
 
 /// One tracked heavy hitter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,13 +141,15 @@ impl SpaceSaving {
     }
 
     /// Reads a sketch written by [`SpaceSaving::write_into`], advancing
-    /// `pos`. `None` on structural inconsistency (more slots than `k`,
-    /// an error bound exceeding its count, or a zero `k`).
+    /// `pos`. `None` on structural inconsistency (more slots than `k`
+    /// or than the remaining bytes can hold, an error bound exceeding
+    /// its count, or a zero `k`).
     pub(crate) fn read_from(bytes: &[u8], pos: &mut usize) -> Option<Self> {
         let k = get_u32(bytes, pos)? as usize;
         let total = get_u64(bytes, pos)?;
         let n = get_u32(bytes, pos)? as usize;
-        if k == 0 || n > k {
+        // A slot is at least a key length prefix, a count and an error.
+        if k == 0 || n > k || !count_fits(bytes, *pos, n, 4 + 8 + 8) {
             return None;
         }
         let mut slots = Vec::with_capacity(n);
@@ -278,6 +280,18 @@ mod tests {
         // More slots than k.
         let mut bytes = s.to_bytes();
         bytes[..4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(SpaceSaving::from_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn forged_slot_count_is_rejected_not_allocated() {
+        // k = n = u32::MAX in 16 bytes: the count passes `n <= k` but no
+        // slot bytes follow, so it must be refused before reserving room.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::MAX);
+        put_u64(&mut bytes, 0);
+        put_u32(&mut bytes, u32::MAX);
+        assert_eq!(bytes.len(), 16);
         assert!(SpaceSaving::from_bytes(&bytes).is_none());
     }
 

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use crate::bytes::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
+use crate::bytes::{count_fits, get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use crate::metrics::{json_f64, json_str, MetricsRegistry};
 
 /// How many closed windows a ring keeps by default.
@@ -191,7 +191,8 @@ impl WindowRing {
 
     /// Reads a ring written by [`WindowRing::write_into`], advancing
     /// `pos`. `None` on any structural inconsistency (held windows
-    /// beyond capacity included).
+    /// beyond capacity or beyond what the remaining bytes can hold
+    /// included).
     pub(crate) fn read_from(bytes: &[u8], pos: &mut usize) -> Option<Self> {
         let capacity = get_u32(bytes, pos)? as usize;
         let evicted = get_u64(bytes, pos)?;
@@ -199,7 +200,9 @@ impl WindowRing {
         let last_roll = get_f64(bytes, pos)?;
         let last_snapshot = MetricsRegistry::read_from(bytes, pos)?;
         let n = get_u32(bytes, pos)? as usize;
-        if capacity == 0 || n > capacity {
+        // A window is at least its index and bounds (24 bytes) plus an
+        // empty delta registry (two u64s and three u32 counts, 28 bytes).
+        if capacity == 0 || n > capacity || !count_fits(bytes, *pos, n, 24 + 28) {
             return None;
         }
         let mut windows = VecDeque::with_capacity(n);
@@ -447,6 +450,21 @@ mod tests {
         evil.roll(1.0, &m);
         let mut bytes = evil.to_bytes();
         bytes[..4].copy_from_slice(&0u32.to_le_bytes()); // capacity = 0
+        assert!(WindowRing::from_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn forged_window_count_is_rejected_not_allocated() {
+        // capacity = n = u32::MAX around an empty snapshot, 60 bytes in
+        // all: the count passes `n <= capacity` but no window follows.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::MAX);
+        put_u64(&mut bytes, 0);
+        put_u64(&mut bytes, 0);
+        put_f64(&mut bytes, 0.0);
+        MetricsRegistry::new().write_into(&mut bytes);
+        put_u32(&mut bytes, u32::MAX);
+        assert_eq!(bytes.len(), 60);
         assert!(WindowRing::from_bytes(&bytes).is_none());
     }
 

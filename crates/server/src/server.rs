@@ -326,17 +326,15 @@ impl SensingServer {
 
     /// Exports the solver work done since the last call as counters
     /// (`sched.iterations_run`, `sched.gain_evaluations`, CELF heap
-    /// traffic, replan counts labelled by solver). Work counts, not wall
-    /// time: the deterministic cost measure of the scheduler.
+    /// traffic, replan counts). Work counts, not wall time: the
+    /// deterministic cost measure of the scheduler.
     fn record_scheduler_work(&mut self) {
         if !self.recorder.is_enabled() {
             return;
         }
         let mut total = GreedyStats::default();
-        let mut solver = None;
         for sched in self.schedulers.values() {
             total.absorb(sched.stats());
-            solver.get_or_insert_with(|| sched.solver().name());
         }
         let done = &self.sched_work_reported;
         let new_iters = total.iterations - done.iterations;
@@ -362,9 +360,10 @@ impl SensingServer {
             self.recorder.count("sched.repairs_run", new_repairs);
         }
         if new_replans > 0 {
-            // Labelled by solver so `sor top` can show what's in use.
-            let label = solver.unwrap_or("celf");
-            self.recorder.count_labeled("sched.replans_run", label, new_replans);
+            // Incremental CELF is the only replanner. The label stays so
+            // the exported name, `sched.replans_run.celf`, is stable for
+            // archives and the consumers that sum the family.
+            self.recorder.count_labeled("sched.replans_run", "celf", new_replans);
         }
         self.sched_work_reported = total;
     }

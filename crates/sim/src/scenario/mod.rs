@@ -12,6 +12,6 @@ pub use fieldtest::{
 };
 pub use profiles::{alice, bob, chris, david, emma};
 pub use scheduling::{
-    draw_participants, run_churn_sim, run_scheduling_sim, run_scheduling_sim_traced, ChurnConfig,
-    ChurnOutcome, SchedulingConfig, SchedulingOutcome,
+    draw_participants, run_churn_sim, run_churn_sim_with, run_scheduling_sim,
+    run_scheduling_sim_traced, ChurnConfig, ChurnOutcome, SchedulingConfig, SchedulingOutcome,
 };

@@ -16,7 +16,7 @@ use rand::{RngExt, SeedableRng};
 use sor_core::coverage::GaussianCoverage;
 use sor_core::schedule::{
     baseline, lazy_greedy_stats, DecayCurve, GreedyStats, OnlineScheduler, Participant,
-    ScheduleProblem, SolverKind, UserId,
+    ScheduleProblem, UserId,
 };
 use sor_core::time::TimeGrid;
 use sor_obs::Recorder;
@@ -164,11 +164,8 @@ pub struct ChurnConfig {
     /// advancing between events).
     pub events: usize,
     /// RNG seed; the event trace depends only on the seed and sizing
-    /// knobs, never on the solver, so outcomes are comparable across
-    /// solvers.
+    /// knobs.
     pub seed: u64,
-    /// Which replanner handles each event.
-    pub solver: SolverKind,
     /// Task-value decay applied to the online objective.
     pub decay: DecayCurve,
 }
@@ -176,7 +173,7 @@ pub struct ChurnConfig {
 impl ChurnConfig {
     /// A scale point for the `sched_churn` bench: population and churn
     /// proportional to the grid size, paper-like 10 s spacing.
-    pub fn at_scale(instants: usize, solver: SolverKind) -> Self {
+    pub fn at_scale(instants: usize) -> Self {
         ChurnConfig {
             instants,
             period: instants as f64 * 10.0,
@@ -188,7 +185,6 @@ impl ChurnConfig {
             sigma: 10.0,
             events: 32,
             seed: 0xC0FFEE,
-            solver,
             decay: DecayCurve::Constant,
         }
     }
@@ -206,31 +202,31 @@ pub struct ChurnOutcome {
     pub schedule_len: usize,
 }
 
-impl ChurnOutcome {
-    /// Marginal-gain evaluations per churn event — the headline cost
-    /// metric of the incremental replanner.
-    pub fn evals_per_event(&self) -> f64 {
-        if self.stats.replans == 0 {
-            return 0.0;
-        }
-        self.stats.gain_evaluations as f64 / self.stats.replans as f64
-    }
-}
-
 /// Drives an [`OnlineScheduler`] through a deterministic churn trace:
 /// an initial population at `t = 0`, then `cfg.events` steps that each
 /// advance the clock and either admit a new user or retire a present
 /// one. Returns the planner's work counters and the final objective.
 pub fn run_churn_sim(cfg: ChurnConfig) -> ChurnOutcome {
+    run_churn_sim_with(cfg, |_| {})
+}
+
+/// [`run_churn_sim`], calling `after_replan` with the scheduler after
+/// every arrival and departure — each one a replan. The hook sees the
+/// fresh plan, so it can check it against
+/// [`OnlineScheduler::replan_from_scratch`].
+pub fn run_churn_sim_with(
+    cfg: ChurnConfig,
+    mut after_replan: impl FnMut(&OnlineScheduler),
+) -> ChurnOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let grid = TimeGrid::new(0.0, cfg.period, cfg.instants).expect("valid config");
-    let mut sched = OnlineScheduler::new(grid, GaussianCoverage::new(cfg.sigma))
-        .with_decay(cfg.decay)
-        .with_solver(cfg.solver);
+    let mut sched =
+        OnlineScheduler::new(grid, GaussianCoverage::new(cfg.sigma)).with_decay(cfg.decay);
     let mut present: Vec<(UserId, f64)> = Vec::new();
     for k in 0..cfg.users {
         let departure = rng.random_range(cfg.period * 0.25..=cfg.period);
         sched.arrive(UserId(k), 0.0, departure, cfg.budget);
+        after_replan(&sched);
         present.push((UserId(k), departure));
     }
     let mut next_user = cfg.users;
@@ -250,6 +246,7 @@ pub fn run_churn_sim(cfg: ChurnConfig) -> ChurnOutcome {
             let (u, _) = present.swap_remove(i);
             sched.depart(u, now);
         }
+        after_replan(&sched);
     }
     ChurnOutcome {
         stats: sched.stats(),
@@ -346,36 +343,33 @@ mod tests {
 
     #[test]
     fn churn_outcome_identical_across_exact_and_celf() {
-        let exact = run_churn_sim(ChurnConfig::at_scale(128, SolverKind::Exact));
-        let celf = run_churn_sim(ChurnConfig::at_scale(128, SolverKind::Celf));
-        assert_eq!(exact.schedule_len, celf.schedule_len);
-        assert_eq!(
-            exact.final_coverage.to_bits(),
-            celf.final_coverage.to_bits(),
-            "CELF must be bit-identical: {} vs {}",
-            exact.final_coverage,
-            celf.final_coverage
-        );
+        let mut checked = 0u64;
+        let out = run_churn_sim_with(ChurnConfig::at_scale(128), |s| {
+            let (oracle, _) = s.replan_from_scratch();
+            assert_eq!(oracle.assignments(), s.planned(), "plan diverged at t={}", s.now());
+            checked += 1;
+        });
+        assert_eq!(checked, out.stats.replans, "the hook runs once per replan");
     }
 
     #[test]
     fn incremental_replanning_is_much_cheaper() {
-        let exact = run_churn_sim(ChurnConfig::at_scale(256, SolverKind::Exact));
-        let celf = run_churn_sim(ChurnConfig::at_scale(256, SolverKind::Celf));
-        assert_eq!(exact.stats.replans, celf.stats.replans);
-        assert!(celf.stats.incremental_repairs > 0);
+        let mut full = GreedyStats::default();
+        let incr = run_churn_sim_with(ChurnConfig::at_scale(256), |s| {
+            full.absorb(s.replan_from_scratch().1)
+        });
+        assert_eq!(incr.stats.incremental_repairs, incr.stats.replans);
         assert!(
-            celf.stats.gain_evaluations * 4 < exact.stats.gain_evaluations,
+            incr.stats.gain_evaluations * 4 < full.gain_evaluations,
             "incremental {} evals vs full {}",
-            celf.stats.gain_evaluations,
-            exact.stats.gain_evaluations
+            incr.stats.gain_evaluations,
+            full.gain_evaluations
         );
-        assert!(celf.evals_per_event() < exact.evals_per_event());
     }
 
     #[test]
     fn churn_sim_is_deterministic() {
-        let cfg = ChurnConfig::at_scale(64, SolverKind::Stochastic);
+        let cfg = ChurnConfig::at_scale(64);
         assert_eq!(run_churn_sim(cfg), run_churn_sim(cfg));
     }
 

@@ -209,3 +209,19 @@ fn scheduling_sim_reports_planner_work() {
     let cov = snapshot.histogram("sched.sim_coverage.greedy").unwrap();
     assert_eq!(cov.count(), cfg.runs as u64);
 }
+
+/// Incremental CELF is the only replanner, so a traced field test
+/// exports its replans under exactly one name. Consumers that sum the
+/// `sched.replans_run.*` family, and archived runs, depend on it.
+#[test]
+fn field_test_exports_replans_only_under_celf() {
+    let rec = Recorder::enabled();
+    run_coffee_field_test_traced(FieldTestConfig::quick(3), rec.clone()).unwrap();
+    let metrics = rec.metrics_snapshot().unwrap();
+    let replans: Vec<(&str, u64)> =
+        metrics.counters().filter(|(name, _)| name.starts_with("sched.replans_run.")).collect();
+    assert_eq!(replans.len(), 1, "one replan counter expected: {replans:?}");
+    let (name, count) = replans[0];
+    assert_eq!(name, "sched.replans_run.celf");
+    assert!(count > 0, "the field test admits users, so it must replan");
+}

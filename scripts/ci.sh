@@ -27,6 +27,17 @@ for pkg in sor-server sor; do
     fi
 done
 echo "==> sor-flow is a dev-dependency only"
+# Removed-knob guard: the env knobs that only picked between equal
+# implementations (scheduler solver, script VM, script optimizer) are
+# gone. No code, script, test or example may name them again. The names
+# are assembled here so this step does not match itself.
+for knob in SCHED_SOLVER SCRIPT_VM SCRIPT_OPT; do
+    if grep -rn "SOR_$knob" crates scripts tests examples; then
+        echo "FAIL removed knob SOR_$knob is still named" >&2
+        exit 1
+    fi
+done
+echo "==> no removed env knob is named"
 # The whole suite at one worker and at four: SOR_THREADS must never
 # change what any test observes, only how fast it runs.
 run env SOR_THREADS=1 cargo test -q --offline --workspace
@@ -174,27 +185,12 @@ if [ "$((tree / warm))" -lt 3 ]; then
 fi
 echo "==> script VM warm-cache speedup OK (${tree} ns tree vs ${warm} ns vm_warm)"
 
-# Scheduler solver gate: CELF must be invisible at the outcome level —
-# the field test under SOR_SCHED_SOLVER=exact and =celf must print
-# byte-identical outcome digests (CELF is bit-identical to the plain
-# greedy by construction). The stochastic solver may schedule
-# differently but must still pass the SLO health grade the smoke
-# enforces internally.
-exact_out=$(env SOR_SCHED_SOLVER=exact cargo run --release --offline -p sor-bench --bin sched_smoke)
-celf_out=$(env SOR_SCHED_SOLVER=celf cargo run --release --offline -p sor-bench --bin sched_smoke)
-if [ "$exact_out" != "$celf_out" ]; then
-    echo "FAIL sched_smoke outcomes diverge between exact and CELF solvers" >&2
-    printf '%s\n--- vs ---\n%s\n' "$exact_out" "$celf_out" >&2
-    exit 1
-fi
-printf '%s\n' "$celf_out"
-echo "==> sched_smoke outcome identical across exact/celf solvers"
-run env SOR_SCHED_SOLVER=stochastic cargo run --release --offline -p sor-bench --bin sched_smoke
-
 # Churn-replanning guard: incremental CELF re-planning must do at most
 # 10% of the full-replan marginal-gain evaluations at n=4096. The
 # `*_evals` lines are deterministic work counts, not wall time, so the
-# guard is safe on single-core hosts.
+# guard is safe on single-core hosts. The `full` arm is the plain-greedy
+# oracle run after every arrival and departure; the bench panics if the
+# incremental plan ever differs from it.
 churn_out=$(cargo bench --offline -p sor-bench --bench sched_churn)
 printf '%s\n' "$churn_out"
 churn_ns_of() { printf '%s\n' "$churn_out" | awk -v id="$1" '$2 == id { print substr($3, 2) }'; }
