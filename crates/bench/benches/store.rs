@@ -24,7 +24,7 @@ fn filled_table(rows: usize, indexed: bool) -> Table {
             Value::Int((i % 10) as i64),
             Value::Int((i % 5) as i64),
             Value::Float(i as f64),
-            Value::Bytes(vec![0u8; 64]),
+            Value::Bytes(vec![0u8; 64].into()),
         ])
         .unwrap();
     }
@@ -64,7 +64,7 @@ fn bench_snapshot(c: &mut Criterion) {
                 Value::Int(i % 10),
                 Value::Int(i % 5),
                 Value::Float(i as f64),
-                Value::Bytes(vec![1u8; 64]),
+                Value::Bytes(vec![1u8; 64].into()),
             ],
         )
         .unwrap();

@@ -10,6 +10,16 @@
 //! that marginal gains evaluate in `O(window)` instead of `O(N)` per
 //! candidate, where `window` is the kernel's support radius expressed in
 //! grid cells.
+//!
+//! Instants sit on a uniform grid and every kernel depends only on
+//! `|ti − tj|`, so `p` is a function of the lag `|i − j|` in cells. The
+//! state evaluates the kernel once per lag when it is built and reads
+//! that table afterwards; marginal gains and commits never call the
+//! model. The table entry for lag `d` is `p(0, d·spacing)`, which is
+//! bit-identical to `p(ti, tj)` whenever `tj − ti` is exactly
+//! `(j − i)·spacing` — true for every grid whose start and spacing are
+//! small integers, like the paper's 10 s and 30 s grids. On other grids
+//! only the rounding of absolute instant times differs.
 
 use crate::coverage::CoverageModel;
 use crate::time::{InstantId, TimeGrid};
@@ -32,84 +42,87 @@ use crate::time::{InstantId, TimeGrid};
 /// assert!(state.marginal_gain(InstantId(4)) < gain);
 /// ```
 #[derive(Clone)]
-pub struct CoverageState<'a> {
-    grid: &'a TimeGrid,
-    model: &'a dyn CoverageModel,
+pub struct CoverageState {
+    /// The kernel by signed lag: `kernel[radius + k] = p(0, |k|·spacing)`
+    /// for `k` in `−radius..=radius`, so the cells an instant reaches
+    /// line up with one contiguous slice.
+    kernel: Vec<f64>,
+    /// Kernel support radius in whole grid cells, capped at `N − 1`.
+    radius: usize,
     /// `q_j = Π (1 − p(ti, tj))` over measurements added so far.
     uncovered: Vec<f64>,
     /// Σ_j w_j·(1 − q_j), the (possibly decay-weighted) objective value.
     total: f64,
-    /// Kernel support radius in whole grid cells (None = unbounded).
-    window: Option<usize>,
     /// Per-instant value weights from a decay curve. `None` means every
     /// weight is 1 and the unweighted floating-point path is taken, so
     /// zero-decay results are byte-identical to the original objective.
     weights: Option<Vec<f64>>,
 }
 
-impl std::fmt::Debug for CoverageState<'_> {
+impl std::fmt::Debug for CoverageState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoverageState")
             .field("instants", &self.uncovered.len())
             .field("total", &self.total)
-            .field("window", &self.window)
+            .field("radius", &self.radius)
             .finish()
     }
 }
 
-impl<'a> CoverageState<'a> {
+impl CoverageState {
     /// Fresh state with no measurements.
-    pub fn new(grid: &'a TimeGrid, model: &'a dyn CoverageModel) -> Self {
+    pub fn new(grid: &TimeGrid, model: &dyn CoverageModel) -> Self {
         Self::weighted(grid, model, None)
     }
 
     /// Fresh state whose objective weights instant `j` by `weights[j]`
     /// (decay-weighted value, eq. 4 generalised). `None` is the
-    /// unweighted objective.
+    /// unweighted objective. Evaluates the kernel once per lag in
+    /// `0..=radius`.
     ///
     /// # Panics
     ///
     /// Panics if a weight vector of the wrong length is supplied.
-    pub fn weighted(
-        grid: &'a TimeGrid,
-        model: &'a dyn CoverageModel,
-        weights: Option<Vec<f64>>,
-    ) -> Self {
+    pub fn weighted(grid: &TimeGrid, model: &dyn CoverageModel, weights: Option<Vec<f64>>) -> Self {
+        let n = grid.len();
         if let Some(w) = &weights {
-            assert_eq!(w.len(), grid.len(), "weight vector must match grid length");
+            assert_eq!(w.len(), n, "weight vector must match grid length");
         }
+        let spacing = grid.spacing();
         let r = model.support_radius();
-        let window = if r.is_finite() { Some((r / grid.spacing()).ceil() as usize) } else { None };
-        CoverageState { grid, model, uncovered: vec![1.0; grid.len()], total: 0.0, window, weights }
+        let radius = if r.is_finite() { ((r / spacing).ceil() as usize).min(n - 1) } else { n - 1 };
+        let lag: Vec<f64> = (0..=radius).map(|d| model.p(0.0, d as f64 * spacing)).collect();
+        let kernel = lag[1..].iter().rev().chain(&lag).copied().collect();
+        CoverageState { kernel, radius, uncovered: vec![1.0; n], total: 0.0, weights }
     }
 
-    /// Range of instant indexes the kernel can reach from `i`.
-    fn reach(&self, i: usize) -> std::ops::Range<usize> {
-        match self.window {
-            Some(w) => i.saturating_sub(w)..(i + w + 1).min(self.grid.len()),
-            None => 0..self.grid.len(),
-        }
+    /// The instants the kernel reaches from `i`, and the matching slice
+    /// of `kernel`, as index ranges of equal length.
+    fn span(&self, i: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+        let lo = i.saturating_sub(self.radius);
+        let hi = (i + self.radius + 1).min(self.uncovered.len());
+        (lo..hi, self.radius + lo - i..self.radius + hi - i)
     }
 
     /// Objective increase from adding a measurement at instant `i`
-    /// (without committing it): `Σ_j w_j · q_j · p(ti, tj)`.
+    /// (without committing it): `Σ_j w_j · q_j · p(ti, tj)`, summed in
+    /// ascending `j`.
     pub fn marginal_gain(&self, i: InstantId) -> f64 {
-        let ti = self.grid.time_of(i);
+        let (js, ks) = self.span(i.0);
+        let cells = self.uncovered[js.clone()].iter().zip(&self.kernel[ks]);
         let mut gain = 0.0;
         match &self.weights {
             None => {
-                for j in self.reach(i.0) {
-                    let q = self.uncovered[j];
+                for (&q, &p) in cells {
                     if q > 0.0 {
-                        gain += q * self.model.p(ti, self.grid.time_of(InstantId(j)));
+                        gain += q * p;
                     }
                 }
             }
             Some(w) => {
-                for j in self.reach(i.0) {
-                    let q = self.uncovered[j];
+                for ((&q, &p), &w) in cells.zip(&w[js]) {
                     if q > 0.0 {
-                        gain += w[j] * (q * self.model.p(ti, self.grid.time_of(InstantId(j))));
+                        gain += w * (q * p);
                     }
                 }
             }
@@ -122,18 +135,28 @@ impl<'a> CoverageState<'a> {
     /// scheduler when several users sense simultaneously); each repeat
     /// multiplies the miss probabilities again.
     pub fn add(&mut self, i: InstantId) {
-        let ti = self.grid.time_of(i);
-        for j in self.reach(i.0) {
-            let p = self.model.p(ti, self.grid.time_of(InstantId(j)));
-            if p > 0.0 {
-                let before = self.uncovered[j];
-                let after = before * (1.0 - p);
-                self.uncovered[j] = after;
-                let delta = before - after;
-                self.total += match &self.weights {
-                    None => delta,
-                    Some(w) => w[j] * delta,
-                };
+        let (js, ks) = self.span(i.0);
+        let cells = self.uncovered[js.clone()].iter_mut().zip(&self.kernel[ks]);
+        // Lowers q by the factor (1 − p) and returns the coverage gained.
+        let cover = |q: &mut f64, p: f64| {
+            let before = *q;
+            *q = before * (1.0 - p);
+            before - *q
+        };
+        match &self.weights {
+            None => {
+                for (q, &p) in cells {
+                    if p > 0.0 {
+                        self.total += cover(q, p);
+                    }
+                }
+            }
+            Some(w) => {
+                for ((q, &p), &w) in cells.zip(&w[js]) {
+                    if p > 0.0 {
+                        self.total += w * cover(q, p);
+                    }
+                }
             }
         }
     }
@@ -152,7 +175,7 @@ impl<'a> CoverageState<'a> {
     /// Average coverage probability (objective / N) — the evaluation
     /// metric of §V-C.
     pub fn average(&self) -> f64 {
-        self.total / self.grid.len() as f64
+        self.total / self.uncovered.len() as f64
     }
 }
 
@@ -174,7 +197,198 @@ pub fn coverage_of_instants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::{GaussianCoverage, TriangularCoverage};
+    use crate::coverage::{
+        CompositeCoverage, ExponentialCoverage, GaussianCoverage, TriangularCoverage,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The objective as first written: every gain and commit calls the
+    /// model on the two instants' absolute times.
+    struct DirectState<'a> {
+        grid: &'a TimeGrid,
+        model: &'a dyn CoverageModel,
+        window: Option<usize>,
+        uncovered: Vec<f64>,
+        total: f64,
+        weights: Option<Vec<f64>>,
+    }
+
+    impl<'a> DirectState<'a> {
+        fn new(
+            grid: &'a TimeGrid,
+            model: &'a dyn CoverageModel,
+            weights: Option<Vec<f64>>,
+        ) -> Self {
+            let r = model.support_radius();
+            let window = r.is_finite().then(|| (r / grid.spacing()).ceil() as usize);
+            DirectState {
+                grid,
+                model,
+                window,
+                uncovered: vec![1.0; grid.len()],
+                total: 0.0,
+                weights,
+            }
+        }
+
+        fn reach(&self, i: usize) -> std::ops::Range<usize> {
+            match self.window {
+                Some(w) => i.saturating_sub(w)..(i + w + 1).min(self.grid.len()),
+                None => 0..self.grid.len(),
+            }
+        }
+
+        fn p(&self, i: usize, j: usize) -> f64 {
+            self.model.p(self.grid.time_of(InstantId(i)), self.grid.time_of(InstantId(j)))
+        }
+
+        fn marginal_gain(&self, i: usize) -> f64 {
+            let mut gain = 0.0;
+            for j in self.reach(i) {
+                let q = self.uncovered[j];
+                if q > 0.0 {
+                    gain += match &self.weights {
+                        None => q * self.p(i, j),
+                        Some(w) => w[j] * (q * self.p(i, j)),
+                    };
+                }
+            }
+            gain
+        }
+
+        fn add(&mut self, i: usize) {
+            for j in self.reach(i) {
+                let p = self.p(i, j);
+                if p > 0.0 {
+                    let before = self.uncovered[j];
+                    let after = before * (1.0 - p);
+                    self.uncovered[j] = after;
+                    let delta = before - after;
+                    self.total += match &self.weights {
+                        None => delta,
+                        Some(w) => w[j] * delta,
+                    };
+                }
+            }
+        }
+    }
+
+    /// The server's coverage kernel for the coffee features (σ = 60, 30,
+    /// 10 and 10 s).
+    fn coffee_composite() -> CompositeCoverage {
+        CompositeCoverage::of_sigmas(&[60.0, 30.0, 10.0, 10.0])
+    }
+
+    fn kernels() -> Vec<(&'static str, Box<dyn CoverageModel>)> {
+        vec![
+            ("gaussian", Box::new(GaussianCoverage::new(10.0))),
+            ("composite", Box::new(coffee_composite())),
+            ("exponential", Box::new(ExponentialCoverage::new(20.0))),
+            ("triangular", Box::new(TriangularCoverage::new(45.0))),
+        ]
+    }
+
+    /// Drives the table state and the direct reference through the same
+    /// commits (repeats included) and hands every gain, coverage and
+    /// total pair to `check`.
+    fn compare(
+        grid: &TimeGrid,
+        model: &dyn CoverageModel,
+        weights: Option<Vec<f64>>,
+        check: &mut dyn FnMut(&str, f64, f64),
+    ) {
+        let n = grid.len();
+        let mut table = CoverageState::weighted(grid, model, weights.clone());
+        let mut direct = DirectState::new(grid, model, weights);
+        let picks: Vec<usize> =
+            (0..n).step_by(n / 9 + 1).chain([n - 1, 0, n / 2, n / 2 + 1, n / 2]).collect();
+        for i in picks {
+            for probe in (0..n).step_by(7).chain([0, i, n - 1]) {
+                check("gain", table.marginal_gain(InstantId(probe)), direct.marginal_gain(probe));
+            }
+            table.add(InstantId(i));
+            direct.add(i);
+            check("total", table.total(), direct.total);
+        }
+        for j in 0..n {
+            check("coverage", table.coverage_of(InstantId(j)), 1.0 - direct.uncovered[j]);
+        }
+    }
+
+    #[test]
+    fn lag_table_is_bit_identical_on_the_paper_grids() {
+        for grid in
+            [TimeGrid::new(0.0, 10800.0, 1080).unwrap(), TimeGrid::new(0.0, 10800.0, 360).unwrap()]
+        {
+            let n = grid.len();
+            let decay: Vec<f64> = (0..n).map(|j| (-0.001 * j as f64).exp()).collect();
+            for (name, model) in kernels() {
+                for weights in [None, Some(decay.clone())] {
+                    compare(&grid, model.as_ref(), weights, &mut |what, got, want| {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} n={n} {what}: {got} vs {want}"
+                        );
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lag_table_agrees_closely_on_a_non_dyadic_grid() {
+        // Spacing 100/7 is not exact in binary, so absolute instant times
+        // round differently from lag · spacing.
+        let grid = TimeGrid::new(0.0, 100.0, 7).unwrap();
+        for (name, model) in kernels() {
+            compare(&grid, model.as_ref(), None, &mut |what, got, want| {
+                let scale = want.abs().max(f64::MIN_POSITIVE);
+                assert!((got - want).abs() <= 1e-12 * scale, "{name} {what}: {got} vs {want}");
+            });
+        }
+    }
+
+    /// Counts kernel evaluations.
+    struct Counting {
+        inner: GaussianCoverage,
+        calls: AtomicUsize,
+    }
+
+    impl CoverageModel for Counting {
+        fn p(&self, ti: f64, tj: f64) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.p(ti, tj)
+        }
+
+        fn support_radius(&self) -> f64 {
+            self.inner.support_radius()
+        }
+    }
+
+    #[test]
+    fn kernel_runs_once_per_lag_per_state() {
+        let model = Counting { inner: GaussianCoverage::new(20.0), calls: AtomicUsize::new(0) };
+        for (grid, lags) in [
+            // σ = 20 s reaches 160 s: 16 cells of 10 s, lags 0..=16.
+            (TimeGrid::new(0.0, 10800.0, 1080).unwrap(), 17),
+            // The radius is capped at N − 1 on a short grid.
+            (TimeGrid::new(0.0, 50.0, 5).unwrap(), 5),
+        ] {
+            model.calls.store(0, Ordering::Relaxed);
+            let mut state = CoverageState::new(&grid, &model);
+            assert_eq!(model.calls.load(Ordering::Relaxed), lags);
+            for i in 0..grid.len() {
+                state.marginal_gain(InstantId(i));
+                state.add(InstantId(i));
+            }
+            assert_eq!(
+                model.calls.load(Ordering::Relaxed),
+                lags,
+                "gains and commits read the table"
+            );
+        }
+    }
 
     fn grid100() -> TimeGrid {
         TimeGrid::new(0.0, 100.0, 10).unwrap()

@@ -16,6 +16,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::coverage::CoverageState;
 use crate::matroid::SenseAction;
@@ -58,6 +59,29 @@ impl Ord for Entry {
     }
 }
 
+/// Who may sense at an instant. The batch solvers index a per-instant
+/// table of users; the online planner scans its participants' stays, so
+/// it keeps no per-instant table between replans.
+pub(crate) trait Presence {
+    /// The users whose stay covers instant `i`, each at most once.
+    fn users_at(&self, i: usize) -> impl Iterator<Item = UserId> + '_;
+}
+
+impl Presence for [Vec<UserId>] {
+    fn users_at(&self, i: usize) -> impl Iterator<Item = UserId> + '_ {
+        self[i].iter().copied()
+    }
+}
+
+/// Each participant's stay as a range of instants.
+pub(crate) struct Stays(pub Vec<(UserId, Range<usize>)>);
+
+impl Presence for Stays {
+    fn users_at(&self, i: usize) -> impl Iterator<Item = UserId> + '_ {
+        self.0.iter().filter(move |(_, stay)| stay.contains(&i)).map(|&(user, _)| user)
+    }
+}
+
 /// Picks the user an instant is attributed to: the present user with the
 /// most remaining budget (ties: smallest id). The keys are strict for
 /// distinct users, so the result is independent of `users`' order.
@@ -66,9 +90,8 @@ impl Ord for Entry {
 ///
 /// Panics if no user in `users` has budget left — callers must check
 /// feasibility first.
-pub(crate) fn attribute_user(users: &[UserId], remaining: &[usize]) -> UserId {
-    *users
-        .iter()
+pub(crate) fn attribute_user(users: impl Iterator<Item = UserId>, remaining: &[usize]) -> UserId {
+    users
         .filter(|u| remaining[u.0] > 0)
         .max_by_key(|u| (remaining[u.0], std::cmp::Reverse(u.0)))
         .expect("feasibility was just checked")
@@ -90,10 +113,10 @@ pub(crate) fn attribute_user(users: &[UserId], remaining: &[usize]) -> UserId {
 /// replans; the batch solver ignores them. Work is added to `stats`:
 /// one `heap_pops` per pop, one `gain_evaluations` and one
 /// `bound_reinserts` per refresh, one `iterations` per commit.
-pub(crate) fn select(
+pub(crate) fn select<P: Presence + ?Sized>(
     mut heap: BinaryHeap<Entry>,
-    state: &mut CoverageState<'_>,
-    users_at: &[Vec<UserId>],
+    state: &mut CoverageState,
+    presence: &P,
     remaining: &mut [usize],
     stats: &mut GreedyStats,
     mut on_first_round_eval: impl FnMut(usize, f64),
@@ -103,7 +126,7 @@ pub(crate) fn select(
     while let Some(top) = heap.pop() {
         stats.heap_pops += 1;
         let i = top.instant;
-        if !users_at[i].iter().any(|u| remaining[u.0] > 0) {
+        if !presence.users_at(i).any(|u| remaining[u.0] > 0) {
             continue; // permanently infeasible: budgets never regrow
         }
         if top.round != round {
@@ -118,7 +141,7 @@ pub(crate) fn select(
             continue;
         }
         // Exact and maximal: commit.
-        let user = attribute_user(&users_at[i], remaining);
+        let user = attribute_user(presence.users_at(i), remaining);
         remaining[user.0] -= 1;
         state.add(InstantId(i));
         actions.push(SenseAction { user, instant: i });
@@ -146,9 +169,9 @@ mod tests {
         let remaining = vec![2usize, 3, 3, 0];
         let users = vec![UserId(3), UserId(2), UserId(0), UserId(1)];
         // Budget 3 beats 2; among ids 1 and 2 (both budget 3), id 1 wins.
-        assert_eq!(attribute_user(&users, &remaining), UserId(1));
+        assert_eq!(attribute_user(users.into_iter(), &remaining), UserId(1));
         // Order independence.
         let shuffled = vec![UserId(1), UserId(0), UserId(3), UserId(2)];
-        assert_eq!(attribute_user(&shuffled, &remaining), UserId(1));
+        assert_eq!(attribute_user(shuffled.into_iter(), &remaining), UserId(1));
     }
 }

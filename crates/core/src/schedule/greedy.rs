@@ -29,10 +29,9 @@ pub struct GreedyStats {
     pub heap_pops: u64,
     /// Stale bounds refreshed and pushed back into the CELF heap.
     pub bound_reinserts: u64,
-    /// Incremental repairs: replans that reused persisted bounds instead
-    /// of re-evaluating every candidate from scratch.
-    pub incremental_repairs: u64,
     /// Reschedules triggered by churn events (online scheduler only).
+    /// Every one is an incremental CELF repair from persisted bounds;
+    /// batch solvers report 0.
     pub replans: u64,
 }
 
@@ -44,7 +43,6 @@ impl GreedyStats {
         self.gain_evaluations += other.gain_evaluations;
         self.heap_pops += other.heap_pops;
         self.bound_reinserts += other.bound_reinserts;
-        self.incremental_repairs += other.incremental_repairs;
         self.replans += other.replans;
     }
 }
@@ -123,7 +121,7 @@ pub fn greedy_seeded_stats(
 
         // Attribute the instant to the feasible user with the most
         // remaining budget (ties: smallest id).
-        let user = attribute_user(&users_at[i], &remaining);
+        let user = attribute_user(users_at[i].iter().copied(), &remaining);
         remaining[user.0] -= 1;
         taken[i] = true;
         state.add(InstantId(i));

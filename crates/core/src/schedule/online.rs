@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use crate::coverage::{CoverageModel, CoverageState};
 use crate::matroid::SenseAction;
-use crate::schedule::celf::{self, Entry, STALE};
+use crate::schedule::celf::{self, Entry, Stays, STALE};
 use crate::schedule::greedy::{greedy_seeded_stats, GreedyStats};
 use crate::schedule::{DecayCurve, Participant, Schedule, ScheduleProblem, UserId};
 use crate::time::{InstantId, TimeGrid};
@@ -43,6 +43,12 @@ use crate::time::{InstantId, TimeGrid};
 struct Bound {
     gain: f64,
     seed_len: usize,
+}
+
+impl Bound {
+    /// No evaluation yet: +∞ at a seed length that never occurs, so the
+    /// instant enters the heap stale and is evaluated on its first pop.
+    const UNKNOWN: Bound = Bound { gain: f64::INFINITY, seed_len: usize::MAX };
 }
 
 /// Event log entry for observability / tests.
@@ -93,12 +99,10 @@ pub struct OnlineScheduler {
     stats: GreedyStats,
     /// Value-decay curve applied to the objective.
     decay: DecayCurve,
-    /// users_at[i]: users whose (possibly truncated) stay covers instant
-    /// `i`. Maintained incrementally on arrival/departure so replans pay
-    /// for the churning user's window, not the whole problem.
-    users_at: Vec<Vec<UserId>>,
     /// Per-instant seed-versioned gain bounds persisted across replans.
-    bounds: Vec<Option<Bound>>,
+    /// Allocated by the first replan, so a period nobody joins never
+    /// pays for it.
+    bounds: Vec<Bound>,
 }
 
 impl std::fmt::Debug for OnlineScheduler {
@@ -121,7 +125,6 @@ impl OnlineScheduler {
 
     /// Creates an online scheduler sharing an existing model handle.
     pub fn from_arc(grid: TimeGrid, model: Arc<dyn CoverageModel>) -> Self {
-        let n = grid.len();
         OnlineScheduler {
             grid,
             model,
@@ -132,8 +135,7 @@ impl OnlineScheduler {
             events: Vec::new(),
             stats: GreedyStats::default(),
             decay: DecayCurve::Constant,
-            users_at: vec![Vec::new(); n],
-            bounds: vec![None; n],
+            bounds: Vec::new(),
         }
     }
 
@@ -229,19 +231,8 @@ impl OnlineScheduler {
     /// still count against the new budget).
     pub fn arrive(&mut self, user: UserId, t: f64, departure: f64, budget: usize) {
         self.advance_to(t);
-        let grid = self.grid;
-        if let Some(prev) = self.participants.iter().find(|p| p.user == user) {
-            let old = grid.instants_within(prev.arrival, prev.departure);
-            for i in old {
-                self.users_at[i].retain(|&u| u != user);
-            }
-        }
         self.participants.retain(|p| p.user != user);
-        let p = Participant::new(user, t, departure, budget);
-        for i in grid.instants_within(p.arrival, p.departure) {
-            self.users_at[i].push(user);
-        }
-        self.participants.push(p);
+        self.participants.push(Participant::new(user, t, departure, budget));
         self.events.push(OnlineEvent::Arrived(user, t));
         self.reschedule();
     }
@@ -251,14 +242,8 @@ impl OnlineScheduler {
     /// rest of the plan is recomputed.
     pub fn depart(&mut self, user: UserId, t: f64) {
         self.advance_to(t);
-        let grid = self.grid;
         if let Some(p) = self.participants.iter_mut().find(|p| p.user == user) {
-            let old = grid.instants_within(p.arrival, p.departure);
             p.departure = p.departure.min(t);
-            let new = grid.instants_within(p.arrival, p.departure);
-            for i in new.end..old.end {
-                self.users_at[i].retain(|&u| u != user);
-            }
         }
         self.events.push(OnlineEvent::Departed(user, t));
         self.reschedule();
@@ -353,33 +338,49 @@ impl OnlineScheduler {
             state.add(InstantId(a.instant));
         }
 
+        // Who may sense where: each participant's (possibly truncated)
+        // stay, and how many stays cover each instant.
+        let stays = Stays(
+            self.participants
+                .iter()
+                .map(|p| (p.user, grid.instants_within(p.arrival, p.departure)))
+                .filter(|(_, stay)| !stay.is_empty())
+                .collect(),
+        );
+        let mut opened = vec![0i32; n + 1];
+        for (_, stay) in &stays.0 {
+            opened[stay.start] += 1;
+            opened[stay.end] -= 1;
+        }
+
         // Re-heap the persisted bounds — zero evaluations. Exact at the
         // current seed length, stale upper bound otherwise; candidates
         // never bounded before (e.g. an arrival opened their window)
         // enter at +∞ and get their first evaluation on pop.
-        let heap: BinaryHeap<Entry> = (0..n)
-            .filter(|&i| {
-                !taken[i] && !self.users_at[i].is_empty() && grid.time_of(InstantId(i)) >= self.now
-            })
-            .map(|i| match self.bounds[i] {
-                Some(b) if b.seed_len == seed_len => Entry { gain: b.gain, instant: i, round: 0 },
-                Some(b) => Entry { gain: b.gain, instant: i, round: STALE },
-                None => Entry { gain: f64::INFINITY, instant: i, round: STALE },
-            })
-            .collect();
+        if self.bounds.is_empty() {
+            self.bounds = vec![Bound::UNKNOWN; n];
+        }
+        let mut entries = Vec::new();
+        let mut present = 0;
+        for (i, b) in self.bounds.iter().enumerate() {
+            present += opened[i];
+            if present > 0 && !taken[i] && grid.time_of(InstantId(i)) >= self.now {
+                let round = if b.seed_len == seed_len { 0 } else { STALE };
+                entries.push(Entry { gain: b.gain, instant: i, round });
+            }
+        }
 
         // Round-0 refreshes were evaluated against the pure seed state:
         // durable upper bounds for every future replan.
         let bounds = &mut self.bounds;
         self.planned = celf::select(
-            heap,
+            BinaryHeap::from(entries),
             &mut state,
-            &self.users_at,
+            &stays,
             &mut remaining,
             &mut self.stats,
-            |i, gain| bounds[i] = Some(Bound { gain, seed_len }),
+            |i, gain| bounds[i] = Bound { gain, seed_len },
         );
-        self.stats.incremental_repairs += 1;
         self.events
             .push(OnlineEvent::Rescheduled { at: self.now, future_actions: self.planned.len() });
     }
@@ -595,8 +596,8 @@ mod tests {
         s.arrive(UserId(4), 700.0, 1000.0, 4);
         step(&mut s);
         let c = s.stats();
-        assert_eq!(c.incremental_repairs, c.replans, "every replan is a repair");
-        assert_eq!(full.incremental_repairs, 0);
+        assert_eq!(c.replans, 6, "every churn event is one repair");
+        assert_eq!(full.replans, 0, "the from-scratch oracle is a batch solver");
         assert!(
             c.gain_evaluations * 2 < full.gain_evaluations,
             "incremental repair should cost far fewer evals: celf {} vs from-scratch {}",

@@ -182,7 +182,7 @@ impl ScheduleProblem {
 
     /// A fresh incremental coverage state for this instance, weighted by
     /// the decay curve when one is set.
-    pub fn coverage_state(&self) -> CoverageState<'_> {
+    pub fn coverage_state(&self) -> CoverageState {
         CoverageState::weighted(&self.grid, self.model.as_ref(), self.decay.weights(&self.grid))
     }
 }

@@ -1,12 +1,13 @@
 //! The durable database wrapper and crash recovery.
 
 use sor_obs::Recorder;
-use sor_proto::frame::{decode_frame, encode_frame};
+use sor_proto::frame::{decode_frame, seal_frame};
+use sor_proto::varint::MAX_VARINT_LEN;
 use sor_proto::wire::{Reader, Writer};
 use sor_store::{ChangeLog, Database};
 
 use crate::storage::Storage;
-use crate::wal::{encode_batch, replay_into, wal_file, TailState, CHECKPOINT_FILE};
+use crate::wal::{replay_into, wal_file, TailState, CHECKPOINT_FILE};
 use crate::DurableError;
 
 /// Tuning knobs for the durability layer.
@@ -76,8 +77,14 @@ pub struct DurableDatabase {
     storage: Option<Box<dyn Storage>>,
     opts: DurableOptions,
     epoch: u64,
+    /// The current epoch's log blob name, [`wal_file`]`(epoch)`.
+    wal: String,
     unflushed_commits: usize,
     ops_since_checkpoint: u64,
+    /// What the next checkpoint file will about need, so it is built in
+    /// one allocation: the last checkpoint's size plus what each op
+    /// logged since adds to a snapshot (see [`SNAPSHOT_GROWTH_SLACK`]).
+    checkpoint_estimate: usize,
     recorder: Recorder,
 }
 
@@ -98,8 +105,10 @@ impl DurableDatabase {
             storage: None,
             opts: DurableOptions::default(),
             epoch: 0,
+            wal: String::new(),
             unflushed_commits: 0,
             ops_since_checkpoint: 0,
+            checkpoint_estimate: 0,
             recorder: Recorder::default(),
         }
     }
@@ -155,11 +164,12 @@ impl DurableDatabase {
                 None => (Database::new(), 0, false, 0),
             };
 
-        let log = storage.read(&wal_file(epoch))?.unwrap_or_default();
+        let wal = wal_file(epoch);
+        let log = storage.read(&wal)?.unwrap_or_default();
         let outcome = replay_into(&mut db, &log)?;
         let truncated = log.len() - outcome.valid_len;
         if truncated > 0 {
-            storage.truncate(&wal_file(epoch), outcome.valid_len as u64)?;
+            storage.truncate(&wal, outcome.valid_len as u64)?;
         }
         if epoch > 0 {
             // A crash between "write checkpoint" and "retire old log"
@@ -197,10 +207,12 @@ impl DurableDatabase {
             storage: Some(storage),
             opts,
             epoch,
+            wal,
             unflushed_commits: 0,
             // Count the replayed log toward the next checkpoint so a
             // crash loop cannot grow the log without bound.
             ops_since_checkpoint: report.replayed_records as u64,
+            checkpoint_estimate: checkpoint_bytes + outcome.valid_len,
             recorder,
         };
         Ok((this, report))
@@ -240,22 +252,23 @@ impl DurableDatabase {
         let Some(storage) = &mut self.storage else {
             return Ok(());
         };
-        let ops = self.changelog.drain();
-        if ops.is_empty() {
+        let batch = self.changelog.drain();
+        if batch.is_empty() {
             return Ok(());
         }
-        let batch = encode_batch(&ops);
-        storage.append(&wal_file(self.epoch), &batch)?;
+        storage.append(&self.wal, &batch.bytes)?;
         self.unflushed_commits += 1;
         if self.unflushed_commits >= self.opts.group_commit {
-            storage.flush(&wal_file(self.epoch))?;
+            storage.flush(&self.wal)?;
             self.unflushed_commits = 0;
             self.recorder.count("durable.wal_flushes", 1);
         }
         self.recorder.count("durable.commits_applied", 1);
-        self.recorder.count("durable.wal_appends", ops.len() as u64);
-        self.recorder.count("durable.wal_bytes", batch.len() as u64);
-        self.ops_since_checkpoint += ops.len() as u64;
+        self.recorder.count("durable.wal_appends", batch.count as u64);
+        self.recorder.count("durable.wal_bytes", batch.bytes.len() as u64);
+        self.ops_since_checkpoint += batch.count as u64;
+        self.checkpoint_estimate +=
+            batch.bytes.len().saturating_sub(batch.count * SNAPSHOT_GROWTH_SLACK);
         if self.ops_since_checkpoint >= self.opts.checkpoint_every_ops {
             self.checkpoint()?;
         }
@@ -271,7 +284,7 @@ impl DurableDatabase {
     pub fn sync(&mut self) -> Result<(), DurableError> {
         if let Some(storage) = &mut self.storage {
             if self.unflushed_commits > 0 {
-                storage.flush(&wal_file(self.epoch))?;
+                storage.flush(&self.wal)?;
                 self.unflushed_commits = 0;
                 self.recorder.count("durable.wal_flushes", 1);
             }
@@ -293,31 +306,84 @@ impl DurableDatabase {
         };
         // Anything captured but uncommitted is part of the snapshot.
         self.changelog.drain();
-        let snapshot = self.db.snapshot();
         let new_epoch = self.epoch + 1;
-        let mut w = Writer::new();
-        w.put_uvar(new_epoch);
-        w.put_bytes(&snapshot);
-        // Checkpoints from flight-recording deployments carry the ring
-        // as a trailing field; plain deployments keep the legacy layout.
-        if let Some(flight) = self.recorder.flight_bytes() {
-            w.put_bytes(&flight);
-        }
-        storage.write_atomic(CHECKPOINT_FILE, &encode_frame(w.as_slice()))?;
-        storage.remove(&wal_file(self.epoch))?;
+        let flight = self.recorder.flight_bytes();
+        let (mut file_len, mut snapshot_len) = (0, 0);
+        storage.write_atomic_with(CHECKPOINT_FILE, &mut |file| {
+            snapshot_len = write_checkpoint(
+                file,
+                &self.db,
+                new_epoch,
+                flight.as_deref(),
+                self.checkpoint_estimate,
+            );
+            file_len = file.len();
+        })?;
+        self.checkpoint_estimate = file_len;
+        storage.remove(&self.wal)?;
         self.epoch = new_epoch;
+        self.wal = wal_file(new_epoch);
         self.unflushed_commits = 0;
         self.ops_since_checkpoint = 0;
         self.recorder.count("durable.checkpoints_taken", 1);
-        self.recorder.gauge("durable.checkpoint_bytes", snapshot.len() as f64);
+        self.recorder.gauge("durable.checkpoint_bytes", snapshot_len as f64);
         Ok(())
     }
+}
+
+/// Log bytes per op that a snapshot does not repeat: the record frame
+/// (8), the op tag (1), and at least the table name's length byte and
+/// the value count (2); an inserted row costs a snapshot its id and
+/// values only.
+const SNAPSHOT_GROWTH_SLACK: usize = 11;
+
+/// Room reserved ahead of the snapshot: the frame's length header plus
+/// the epoch and snapshot-length varints at their widest.
+const CHECKPOINT_PREFIX: usize = 4 + 2 * MAX_VARINT_LEN;
+
+/// Writes the checkpoint file, `encode_frame(uvar(epoch) ‖ bytes(snapshot)
+/// ‖ [bytes(flight)])`, into the empty buffer `file`. The snapshot is
+/// encoded after room for the widest prefix; the real prefix is then
+/// written flush against it and the slack cut from the front, so the
+/// snapshot is never copied into a second buffer. Checkpoints from
+/// flight-recording deployments carry the ring as a trailing field;
+/// plain deployments keep the legacy layout. `estimate` is the expected
+/// file size. Returns the snapshot's length.
+fn write_checkpoint(
+    file: &mut Vec<u8>,
+    db: &Database,
+    epoch: u64,
+    flight: Option<&[u8]>,
+    estimate: usize,
+) -> usize {
+    // Reuse the buffer only if the file fits: growing it would copy the
+    // old contents while the new ones are written.
+    if file.capacity() < estimate {
+        *file = Vec::with_capacity(estimate);
+    }
+    let mut w = Writer::from(std::mem::take(file));
+    w.put_raw(&[0; CHECKPOINT_PREFIX]);
+    db.snapshot_into(&mut w);
+    let snapshot_len = w.len() - CHECKPOINT_PREFIX;
+    if let Some(flight) = flight {
+        w.put_bytes(flight);
+    }
+    let mut prefix = Writer::new();
+    prefix.put_uvar(epoch);
+    prefix.put_uvar(snapshot_len as u64);
+    let slack = CHECKPOINT_PREFIX - 4 - prefix.len();
+    *file = w.into_bytes();
+    file[slack + 4..CHECKPOINT_PREFIX].copy_from_slice(prefix.as_slice());
+    file.drain(..slack);
+    seal_frame(file, 0);
+    snapshot_len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::SimDisk;
+    use sor_proto::frame::encode_frame;
     use sor_store::{ColumnType, Predicate, Schema, Value};
 
     fn open_sim(disk: &SimDisk, opts: DurableOptions) -> (DurableDatabase, RecoveryReport) {
@@ -554,6 +620,65 @@ mod tests {
                 .unwrap();
         assert!(report.had_checkpoint);
         assert_eq!(count(&ddb), 2);
+    }
+
+    /// The checkpoint file as first written: payload built in one
+    /// writer, framed by a copy.
+    fn framed_payload(db: &Database, epoch: u64, flight: Option<&[u8]>) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_uvar(epoch);
+        w.put_bytes(&db.snapshot());
+        if let Some(flight) = flight {
+            w.put_bytes(flight);
+        }
+        encode_frame(w.as_slice())
+    }
+
+    #[test]
+    fn checkpoint_file_equals_the_framed_payload() {
+        let disk = SimDisk::new(47);
+        let (mut ddb, _) = open_sim(&disk, DurableOptions::default());
+        seed_rows(&mut ddb, 300);
+        let ring = [7u8; 200];
+        // Epochs whose varints take 1 to 10 bytes, into a fresh buffer,
+        // a reused larger one and an undersized one.
+        let mut reused = Vec::new();
+        for epoch in [1, 300, 1 << 40, u64::MAX] {
+            for flight in [None, Some(&ring[..])] {
+                let expect = framed_payload(ddb.db(), epoch, flight);
+                for estimate in [0, 64, 1 << 16] {
+                    reused.clear();
+                    let snapshot_len =
+                        write_checkpoint(&mut reused, ddb.db(), epoch, flight, estimate);
+                    assert_eq!(reused, expect, "epoch {epoch}, estimate {estimate}");
+                    assert_eq!(snapshot_len, ddb.db().snapshot().len());
+                }
+            }
+        }
+        ddb.checkpoint().unwrap();
+        let mut storage: Box<dyn Storage> = Box::new(disk.clone());
+        let written = storage.read(CHECKPOINT_FILE).unwrap().unwrap();
+        assert_eq!(written, framed_payload(ddb.db(), 1, None));
+    }
+
+    #[test]
+    fn flight_checkpoint_file_equals_the_framed_payload() {
+        let disk = SimDisk::new(53);
+        let rec = Recorder::enabled().with_flight(8);
+        let (mut ddb, _) = DurableDatabase::open(
+            Box::new(disk.clone()),
+            DurableOptions::default(),
+            rec.clone(),
+            0.0,
+        )
+        .unwrap();
+        seed_rows(&mut ddb, 40);
+        rec.span_start("server.handle_message", 1.0);
+        let flight = rec.flight_bytes().expect("flight recording is on");
+        ddb.checkpoint().unwrap();
+        let mut storage: Box<dyn Storage> = Box::new(disk.clone());
+        let written = storage.read(CHECKPOINT_FILE).unwrap().unwrap();
+        assert_eq!(written, framed_payload(ddb.db(), 1, Some(&flight)));
     }
 
     #[test]

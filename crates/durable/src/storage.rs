@@ -44,6 +44,21 @@ pub trait Storage: std::fmt::Debug {
     /// Atomically replaces a blob's contents (write + rename).
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), DurableError>;
 
+    /// [`Storage::write_atomic`] of whatever `fill` appends to the empty
+    /// buffer it is handed. An in-memory backend hands over the blob's
+    /// previous buffer, so replacing a large blob reuses its memory
+    /// instead of holding the old and the new contents at once; `fill`
+    /// must not panic. The default fills a fresh buffer and writes it.
+    fn write_atomic_with(
+        &mut self,
+        name: &str,
+        fill: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), DurableError> {
+        let mut bytes = Vec::new();
+        fill(&mut bytes);
+        self.write_atomic(name, &bytes)
+    }
+
     /// Durably cuts a blob to `len` bytes (no-op past the end).
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), DurableError>;
 
@@ -171,6 +186,10 @@ struct DiskInner {
     /// Per-file probability, at each crash, of one durable bit
     /// flipping (media corruption, as opposed to the torn tail).
     bit_rot: f64,
+    /// The emptied buffers of the last removed file, handed to the next
+    /// file an append creates: each epoch's log reuses the retired log's
+    /// memory instead of growing a new buffer from nothing.
+    spare: SimFile,
 }
 
 /// Deterministic in-memory disk with crash-fault injection.
@@ -203,6 +222,7 @@ impl SimDisk {
                 noise: HashNoise::new(seed).fork(0x5d15c),
                 crashes: 0,
                 bit_rot: 0.0,
+                spare: SimFile::default(),
             })),
         }
     }
@@ -274,23 +294,45 @@ impl Storage for SimDisk {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
-        inner.files.entry(name.to_string()).or_default().pending.extend_from_slice(bytes);
+        match inner.files.get_mut(name) {
+            Some(file) => file.pending.extend_from_slice(bytes),
+            None => {
+                let mut file = std::mem::take(&mut inner.spare);
+                file.pending.extend_from_slice(bytes);
+                inner.files.insert(name.to_string(), file);
+            }
+        }
         Ok(())
     }
 
     fn flush(&mut self, name: &str) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
         if let Some(file) = inner.files.get_mut(name) {
-            let pending = std::mem::take(&mut file.pending);
-            file.durable.extend_from_slice(&pending);
+            // `append` keeps the pending buffer's capacity for the next
+            // append.
+            file.durable.append(&mut file.pending);
         }
         Ok(())
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
+        self.write_atomic_with(name, &mut |buf| buf.extend_from_slice(bytes))
+    }
+
+    fn write_atomic_with(
+        &mut self,
+        name: &str,
+        fill: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
-        let file = inner.files.entry(name.to_string()).or_default();
-        file.durable = bytes.to_vec();
+        if !inner.files.contains_key(name) {
+            inner.files.insert(name.to_string(), SimFile::default());
+        }
+        let file = inner.files.get_mut(name).expect("just ensured");
+        // Nothing else can observe the disk while the lock is held, so
+        // filling the old buffer in place is as atomic as a swap.
+        file.durable.clear();
+        fill(&mut file.durable);
         file.pending.clear();
         Ok(())
     }
@@ -298,8 +340,7 @@ impl Storage for SimDisk {
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
         if let Some(file) = inner.files.get_mut(name) {
-            let pending = std::mem::take(&mut file.pending);
-            file.durable.extend_from_slice(&pending);
+            file.durable.append(&mut file.pending);
             file.durable.truncate(len as usize);
         }
         Ok(())
@@ -307,7 +348,11 @@ impl Storage for SimDisk {
 
     fn remove(&mut self, name: &str) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
-        inner.files.remove(name);
+        if let Some(mut file) = inner.files.remove(name) {
+            file.durable.clear();
+            file.pending.clear();
+            inner.spare = file;
+        }
         Ok(())
     }
 }
@@ -397,6 +442,30 @@ mod tests {
         assert_eq!(s.read("log").unwrap().unwrap(), b"abc");
         s.remove("ckpt").unwrap();
         assert!(s.read("ckpt").unwrap().is_none());
+    }
+
+    #[test]
+    fn simdisk_reused_buffers_start_empty() {
+        let disk = SimDisk::new(2);
+        let mut s: Box<dyn Storage> = Box::new(disk.clone());
+        s.append("wal.1", b"retired log").unwrap();
+        s.flush("wal.1").unwrap();
+        s.append("wal.1", b" pending").unwrap();
+        s.remove("wal.1").unwrap();
+        // The next log takes over the retired log's buffers, emptied.
+        s.append("wal.2", b"new").unwrap();
+        assert!(s.read("wal.1").unwrap().is_none());
+        assert_eq!(s.read("wal.2").unwrap().unwrap(), b"new");
+        assert_eq!((disk.durable_len("wal.2"), disk.pending_len("wal.2")), (0, 3));
+        // Replacing a blob in its own buffer leaves none of the old bytes.
+        s.write_atomic("ckpt", b"a longer first snapshot").unwrap();
+        s.write_atomic_with("ckpt", &mut |buf| {
+            assert!(buf.is_empty());
+            buf.extend_from_slice(b"second");
+        })
+        .unwrap();
+        disk.crash();
+        assert_eq!(s.read("ckpt").unwrap().unwrap(), b"second");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! applies every valid record, and reports how the stream ended — the
 //! caller truncates anything past the valid prefix.
 
-use sor_proto::frame::{encode_frame_into, FrameError, FrameScanner};
+use sor_proto::frame::{FrameError, FrameScanner};
+use sor_proto::wire::Writer;
 use sor_store::{Database, LogOp};
 
 use crate::DurableError;
@@ -57,13 +58,14 @@ pub struct ReplayOutcome {
     pub tail: TailState,
 }
 
-/// Serialises one commit's ops as a batch of framed records.
+/// Serialises one commit's ops as a batch of framed records: the bytes
+/// [`sor_store::ChangeLog`] captures for those ops as they happen.
 pub fn encode_batch(ops: &[LogOp]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = Writer::new();
     for op in ops {
-        encode_frame_into(&mut out, &op.encode());
+        w.put_frame(|w| op.encode_into(w));
     }
-    out
+    w.into_bytes()
 }
 
 /// Replays a log stream into a database, stopping at the first torn or
@@ -118,7 +120,7 @@ mod tests {
             db.insert("t", vec![Value::Int(i)]).unwrap();
         }
         db.delete_where("t", &Predicate::eq("n", Value::Int(3))).unwrap();
-        (db, log.drain())
+        (db, log.drain().decode().unwrap())
     }
 
     #[test]
@@ -168,6 +170,30 @@ mod tests {
         let outcome = replay_into(&mut db, &log).unwrap();
         assert_eq!(outcome.tail, TailState::Corrupt);
         assert!(outcome.replayed < ops.len());
+    }
+
+    #[test]
+    fn batch_equals_framing_each_encoded_op() {
+        let (_, ops) = scripted_ops();
+        let mut expect = Vec::new();
+        for op in &ops {
+            sor_proto::frame::encode_frame_into(&mut expect, &op.encode());
+        }
+        assert_eq!(encode_batch(&ops), expect);
+    }
+
+    #[test]
+    fn captured_batch_is_the_encoded_batch() {
+        let log = ChangeLog::enabled();
+        let mut db = Database::new();
+        db.set_changelog(log.clone());
+        db.create_table(Schema::new("t").column("n", ColumnType::Int)).unwrap();
+        db.insert("t", vec![Value::Int(7)]).unwrap();
+        db.delete_where("t", &Predicate::True).unwrap();
+        db.drop_table("t");
+        let batch = log.drain();
+        assert_eq!(batch.count, 4);
+        assert_eq!(batch.bytes, encode_batch(&batch.decode().unwrap()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sor_obs::{Recorder, SpaceSaving, SpanId};
 use sor_proto::{Message, SensedRecord, TraceContext};
@@ -25,9 +25,10 @@ pub struct MobileFrontend {
     now: f64,
     recorder: Recorder,
     /// Compilation cache for the bytecode VM. Defaults to a private
-    /// per-phone cache; the simulation world replaces it with one
-    /// shared handle so the whole fleet compiles each script once.
-    script_cache: ScriptCache,
+    /// per-phone cache, created by the first script run; the simulation
+    /// world replaces it with one shared handle so the whole fleet
+    /// compiles each script once.
+    script_cache: OnceLock<ScriptCache>,
     /// O(k) heavy-hitter sketch over this phone's script runs, keyed by
     /// task and weighted by instructions executed — bounded per-user
     /// state no matter how many tasks the phone churns through.
@@ -56,7 +57,7 @@ impl MobileFrontend {
             tasks: Vec::new(),
             now: 0.0,
             recorder: Recorder::disabled(),
-            script_cache: ScriptCache::new(),
+            script_cache: OnceLock::new(),
             hot_scripts: SpaceSaving::new(8),
         }
     }
@@ -71,12 +72,12 @@ impl MobileFrontend {
     /// (clones of one [`ScriptCache`] share storage), so a fleet of
     /// phones dispatched the same script compiles it exactly once.
     pub fn set_script_cache(&mut self, cache: ScriptCache) {
-        self.script_cache = cache;
+        self.script_cache = OnceLock::from(cache);
     }
 
     /// The phone's script compilation cache handle.
     pub fn script_cache(&self) -> &ScriptCache {
-        &self.script_cache
+        self.script_cache.get_or_init(ScriptCache::new)
     }
 
     /// Attaches an observability recorder. Phone-side task
@@ -207,8 +208,8 @@ impl MobileFrontend {
         let mut out = Vec::new();
         let manager = Arc::clone(&self.manager);
         let recorder = self.recorder.clone();
-        let allowed: HashSet<SensorKind> =
-            SensorKind::ALL.iter().copied().filter(|&k| self.prefs.is_allowed(k)).collect();
+        // Built by the first run that falls due; most sweeps run nothing.
+        let mut allowed: Option<HashSet<SensorKind>> = None;
         for task in &mut self.tasks {
             if task.is_done() {
                 continue;
@@ -228,7 +229,11 @@ impl MobileFrontend {
                     recorder.span_attr_with(span, "trace_id", || c.trace_id.to_string());
                 }
                 recorder.count("script.runs_started", 1);
-                match execute_script(&task.script, due, &manager, &allowed, &self.script_cache) {
+                let cache = self.script_cache.get_or_init(ScriptCache::new);
+                let allowed = allowed.get_or_insert_with(|| {
+                    SensorKind::ALL.iter().copied().filter(|&k| self.prefs.is_allowed(k)).collect()
+                });
+                match execute_script(&task.script, due, &manager, allowed, cache) {
                     Ok(run) => {
                         record_script_run(&recorder, span, &run);
                         recorder.span_end(span, due);

@@ -295,10 +295,9 @@ pub fn render_dashboard(
         let per = if replans > 0.0 { evals / replans } else { 0.0 };
         out.push_str(&format!("  gain evals: {evals} ({per:.1} per replan)\n"));
         out.push_str(&format!(
-            "  celf: {} heap pops, {} bounds reinserted, {} incremental repairs\n",
+            "  celf: {} heap pops, {} bounds reinserted\n",
             counter("sched.heap_pops"),
-            counter("sched.bounds_reinserted"),
-            counter("sched.repairs_run")
+            counter("sched.bounds_reinserted")
         ));
     }
 
@@ -417,13 +416,12 @@ mod tests {
         m.count("sched.gain_evaluations", 90);
         m.count("sched.heap_pops", 40);
         m.count("sched.bounds_reinserted", 7);
-        m.count("sched.repairs_run", 5);
         m.count("sched.replans_run.celf", 6);
         let m = parse(&m.to_json()).unwrap();
         let d = render_dashboard(&t, &m, None, None);
         assert!(d.contains("replans: 6 (celf x6)"), "{d}");
         assert!(d.contains("gain evals: 90 (15.0 per replan)"), "{d}");
-        assert!(d.contains("40 heap pops, 7 bounds reinserted, 5 incremental repairs"), "{d}");
+        assert!(d.contains("celf: 40 heap pops, 7 bounds reinserted\n"), "{d}");
     }
 
     #[test]

@@ -117,7 +117,6 @@ mod tests {
             "sched.replan_gain_evaluations",
             "sched.heap_pops",
             "sched.bounds_reinserted",
-            "sched.repairs_run",
             "sched.replans_run.celf",
             // PR 10: run-archive and cross-run diff names.
             "archive.bytes_written",

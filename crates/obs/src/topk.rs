@@ -49,10 +49,11 @@ pub struct SpaceSaving {
 }
 
 impl SpaceSaving {
-    /// A sketch tracking at most `k` keys (`k` is clamped to ≥ 1).
+    /// A sketch tracking at most `k` keys (`k` is clamped to ≥ 1). The
+    /// `k` slots are allocated by the first offer, so a sketch nothing
+    /// is offered to costs no allocation.
     pub fn new(k: usize) -> Self {
-        let k = k.max(1);
-        SpaceSaving { k, slots: Vec::with_capacity(k), total: 0 }
+        SpaceSaving { k: k.max(1), slots: Vec::new(), total: 0 }
     }
 
     /// The slot budget.
@@ -83,6 +84,7 @@ impl SpaceSaving {
             return;
         }
         if self.slots.len() < self.k {
+            self.slots.reserve_exact(self.k - self.slots.len());
             self.slots.push(TopKEntry { key: key.to_string(), count: weight, err: 0 });
             return;
         }

@@ -72,6 +72,21 @@ pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
+/// Finishes a frame assembled in place: `buf[start..]` holds four
+/// reserved header bytes followed by the payload. Fills in the length
+/// header and appends the CRC trailer, so `buf[start..]` ends up equal
+/// to [`encode_frame`] of the payload without a second copy of it.
+///
+/// # Panics
+///
+/// Panics if `buf[start..]` is shorter than the four header bytes.
+pub fn seal_frame(buf: &mut Vec<u8>, start: usize) {
+    let payload_len = buf.len() - start - 4;
+    buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = crc32(&buf[start + 4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// Decodes the frame at the start of `buf`.
 ///
 /// Returns the payload and the total bytes the frame occupied, so a
@@ -156,6 +171,18 @@ mod tests {
         let (payload, consumed) = decode_frame(&framed).unwrap();
         assert!(payload.is_empty());
         assert_eq!(consumed, FRAME_OVERHEAD);
+    }
+
+    #[test]
+    fn sealing_in_place_equals_encoding() {
+        for payload in [&b""[..], b"x", b"checkpoint payload"] {
+            let mut buf = b"head".to_vec();
+            buf.extend_from_slice(&[0xAA; 4]);
+            buf.extend_from_slice(payload);
+            seal_frame(&mut buf, 4);
+            assert_eq!(buf[..4], *b"head");
+            assert_eq!(buf[4..], encode_frame(payload));
+        }
     }
 
     #[test]

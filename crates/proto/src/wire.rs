@@ -69,6 +69,16 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// One length + CRC frame ([`crate::frame`]) around whatever `body`
+    /// writes: the same bytes as `encode_frame_into` of that payload,
+    /// without a scratch buffer for it.
+    pub fn put_frame(&mut self, body: impl FnOnce(&mut Writer)) {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        body(self);
+        crate::frame::seal_frame(&mut self.buf, start);
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -87,6 +97,13 @@ impl Writer {
     /// View of the buffer.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl From<Vec<u8>> for Writer {
+    /// A writer appending to `buf`, keeping its capacity.
+    fn from(buf: Vec<u8>) -> Self {
+        Writer { buf }
     }
 }
 
@@ -178,6 +195,18 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn put_frame_equals_encode_frame_into() {
+        let mut w = Writer::new();
+        w.put_u8(9);
+        w.put_frame(|w| w.put_str("payload"));
+        w.put_frame(|_| {});
+        let mut expect = vec![9];
+        crate::frame::encode_frame_into(&mut expect, b"\x07payload");
+        crate::frame::encode_frame_into(&mut expect, b"");
+        assert_eq!(w.into_bytes(), expect);
+    }
 
     #[test]
     fn primitives_roundtrip() {

@@ -145,6 +145,8 @@ mod tests {
     fn wire_ids_are_stable_and_invertible() {
         for (i, k) in SensorKind::ALL.iter().enumerate() {
             assert_eq!(k.wire_id(), i as u16);
+            // The sensor manager indexes its provider slots by discriminant.
+            assert_eq!(*k as usize, i);
             assert_eq!(SensorKind::from_wire_id(i as u16), Some(*k));
         }
         assert_eq!(SensorKind::from_wire_id(200), None);

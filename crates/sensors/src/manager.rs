@@ -8,7 +8,6 @@
 //! Provider to actually acquire data from sensors. Moreover, the manager
 //! can cancel data acquisition if timeout."
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::kind::{Reading, SensorKind};
@@ -24,7 +23,8 @@ pub const DEFAULT_SAMPLE_INTERVAL: f64 = 0.5;
 
 /// Registry + dispatcher for providers.
 pub struct SensorManager {
-    providers: BTreeMap<SensorKind, Arc<dyn Provider>>,
+    /// One slot per kind, in [`SensorKind::ALL`] order.
+    providers: [Option<Arc<dyn Provider>>; SensorKind::ALL.len()],
     timeout: f64,
     sample_interval: f64,
 }
@@ -48,7 +48,7 @@ impl SensorManager {
     /// An empty manager with default timeout.
     pub fn new() -> Self {
         SensorManager {
-            providers: BTreeMap::new(),
+            providers: Default::default(),
             timeout: DEFAULT_TIMEOUT,
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
         }
@@ -74,27 +74,27 @@ impl SensorManager {
     /// Registers a provider (the Provider Register). Replaces any
     /// previous provider of the same kind; returns whether one existed.
     pub fn register<P: Provider + 'static>(&mut self, provider: P) -> bool {
-        self.providers.insert(provider.kind(), Arc::new(provider)).is_some()
+        self.register_arc(Arc::new(provider))
     }
 
     /// Registers a shared provider handle.
     pub fn register_arc(&mut self, provider: Arc<dyn Provider>) -> bool {
-        self.providers.insert(provider.kind(), provider).is_some()
+        self.providers[provider.kind() as usize].replace(provider).is_some()
     }
 
     /// Unregisters a sensor. Returns whether it was present.
     pub fn unregister(&mut self, kind: SensorKind) -> bool {
-        self.providers.remove(&kind).is_some()
+        self.providers[kind as usize].take().is_some()
     }
 
     /// The list of currently supported sensors.
     pub fn supported(&self) -> Vec<SensorKind> {
-        self.providers.keys().copied().collect()
+        SensorKind::ALL.into_iter().filter(|&k| self.supports(k)).collect()
     }
 
     /// Whether `kind` has a registered provider.
     pub fn supports(&self, kind: SensorKind) -> bool {
-        self.providers.contains_key(&kind)
+        self.providers[kind as usize].is_some()
     }
 
     /// Acquires `n` readings of `kind` starting at time `start`,
@@ -112,7 +112,8 @@ impl SensorManager {
         n: usize,
         start: f64,
     ) -> Result<Vec<Reading>, SensorError> {
-        let provider = self.providers.get(&kind).ok_or(SensorError::Unsupported(kind))?;
+        let provider =
+            self.providers[kind as usize].as_ref().ok_or(SensorError::Unsupported(kind))?;
         let latency = provider.latency(n);
         if latency > self.timeout {
             return Err(SensorError::Timeout { kind, latency, timeout: self.timeout });

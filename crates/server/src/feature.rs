@@ -97,15 +97,13 @@ impl FeatureSpec {
         };
         match &self.extractor {
             Extractor::Mean { sensor } => {
-                let values: Vec<f64> = records
-                    .iter()
-                    .filter(|r| r.sensor == *sensor)
-                    .flat_map(|r| r.values.iter().copied())
-                    .collect();
-                if values.is_empty() {
+                let readings =
+                    || records.iter().filter(|r| r.sensor == *sensor).flat_map(|r| &r.values);
+                let n = readings().count();
+                if n == 0 {
                     return Err(fail("no readings from the source sensor"));
                 }
-                Ok(values.iter().sum::<f64>() / values.len() as f64)
+                Ok(readings().sum::<f64>() / n as f64)
             }
             Extractor::WindowedDeviation { sensor, arity } => {
                 let arity = (*arity).max(1);

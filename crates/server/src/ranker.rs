@@ -3,10 +3,10 @@
 
 use sor_core::ranking::{Feature, FeatureMatrix, PersonalizableRanker, RankingOutcome};
 use sor_core::UserPreferences;
-use sor_store::Database;
+use sor_store::{Database, Predicate, Value};
 
 use crate::application::ApplicationManager;
-use crate::processor::DataProcessor;
+use crate::processor::FEATURES_TABLE;
 use crate::ServerError;
 
 /// A ranked category result: outcome plus the place names in final
@@ -43,21 +43,31 @@ pub fn assemble_matrix(
     };
     let features: Vec<Feature> =
         first.features.iter().map(|f| Feature::new(f.name.clone(), f.unit.clone())).collect();
-    let processor = DataProcessor;
     let mut rows = Vec::with_capacity(members.len());
     let mut names = Vec::with_capacity(members.len());
     let mut ids = Vec::with_capacity(members.len());
     for app in &members {
-        let mut row = Vec::with_capacity(features.len());
-        for f in &first.features {
-            let v = processor.feature_value(db, app.app_id, &f.name)?.ok_or_else(|| {
-                ServerError::InsufficientData {
+        // One indexed read per app; the first stored value of each
+        // feature wins, as in `DataProcessor::feature_value`.
+        let mut found: Vec<Option<f64>> = vec![None; first.features.len()];
+        let by_app = Predicate::eq("app_id", Value::Int(app.app_id as i64));
+        db.scan_each(FEATURES_TABLE, &by_app, |_, stored| {
+            let (Some(name), Some(v)) = (stored[1].as_text(), stored[2].as_float()) else { return };
+            if let Some(k) = first.features.iter().position(|f| f.name == name) {
+                found[k].get_or_insert(v);
+            }
+        })?;
+        let row = first
+            .features
+            .iter()
+            .zip(found)
+            .map(|(f, v)| {
+                v.ok_or_else(|| ServerError::InsufficientData {
                     feature: f.name.clone(),
                     detail: format!("no value computed yet for app {}", app.app_id),
-                }
-            })?;
-            row.push(v);
-        }
+                })
+            })
+            .collect::<Result<Vec<f64>, _>>()?;
         rows.push(row);
         names.push(app.name.clone());
         ids.push(app.app_id);
@@ -160,7 +170,7 @@ mod tests {
     fn missing_feature_value_is_error() {
         let (mut db, apps) = setup();
         // Blow away the features table contents.
-        db.delete_where(crate::processor::FEATURES_TABLE, &sor_store::Predicate::True).unwrap();
+        db.delete_where(FEATURES_TABLE, &Predicate::True).unwrap();
         let prefs = UserPreferences::new("x", vec![Preference::value(70.0, 3)]);
         assert!(matches!(
             rank_category(&db, &apps, "coffee-shop", &prefs),

@@ -341,7 +341,6 @@ impl SensingServer {
         let new_evals = total.gain_evaluations - done.gain_evaluations;
         let new_pops = total.heap_pops - done.heap_pops;
         let new_reinserts = total.bound_reinserts - done.bound_reinserts;
-        let new_repairs = total.incremental_repairs - done.incremental_repairs;
         let new_replans = total.replans - done.replans;
         if new_iters > 0 {
             self.recorder.count("sched.iterations_run", new_iters);
@@ -355,9 +354,6 @@ impl SensingServer {
         }
         if new_reinserts > 0 {
             self.recorder.count("sched.bounds_reinserted", new_reinserts);
-        }
-        if new_repairs > 0 {
-            self.recorder.count("sched.repairs_run", new_repairs);
         }
         if new_replans > 0 {
             // Incremental CELF is the only replanner. The label stays so

@@ -358,7 +358,8 @@ mod tests {
         let incr = run_churn_sim_with(ChurnConfig::at_scale(256), |s| {
             full.absorb(s.replan_from_scratch().1)
         });
-        assert_eq!(incr.stats.incremental_repairs, incr.stats.replans);
+        assert!(incr.stats.replans > 0);
+        assert_eq!(full.replans, 0, "the from-scratch oracle is a batch solver");
         assert!(
             incr.stats.gain_evaluations * 4 < full.gain_evaluations,
             "incremental {} evals vs full {}",

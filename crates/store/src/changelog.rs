@@ -7,6 +7,9 @@
 //! A [`ChangeLog`] is a cheap, cloneable handle (modelled after
 //! `sor_obs::Recorder`) that a durability layer attaches to a database;
 //! the default handle is disabled and costs one branch per mutation.
+//! An enabled handle encodes each op as it happens, straight from the
+//! database's own data, into one CRC-framed [`Batch`] — the bytes a
+//! write-ahead log appends — so capture copies no rows or schemas.
 //!
 //! The ops are deliberately physical about *identity* (row ids, not
 //! predicates): replaying `Delete { row_ids }` does not depend on scan
@@ -15,10 +18,11 @@
 
 use std::sync::{Arc, Mutex};
 
+use sor_proto::frame::FrameScanner;
 use sor_proto::wire::{Reader, Writer};
 use sor_proto::ProtoError;
 
-use crate::schema::{Column, ColumnType, Schema};
+use crate::schema::{ColumnType, Schema};
 use crate::value::Value;
 use crate::StoreError;
 
@@ -73,41 +77,18 @@ impl LogOp {
     /// Appends the encoded op to an existing writer.
     pub fn encode_into(&self, w: &mut Writer) {
         match self {
-            LogOp::CreateTable(schema) => {
-                w.put_u8(TAG_CREATE_TABLE);
-                w.put_str(schema.name());
-                w.put_uvar(schema.columns().len() as u64);
-                for c in schema.columns() {
-                    w.put_str(&c.name);
-                    w.put_u8(c.ty.wire_tag());
-                    w.put_u8(c.nullable as u8);
-                }
-            }
-            LogOp::DropTable(name) => {
-                w.put_u8(TAG_DROP_TABLE);
-                w.put_str(name);
-            }
-            LogOp::CreateIndex { table, column } => {
-                w.put_u8(TAG_CREATE_INDEX);
-                w.put_str(table);
-                w.put_str(column);
-            }
+            LogOp::CreateTable(schema) => encode_create_table(w, schema),
+            LogOp::DropTable(name) => encode_drop_table(w, name),
+            LogOp::CreateIndex { table, column } => encode_create_index(w, table, column),
             LogOp::Insert { table, row_id, values } => {
-                w.put_u8(TAG_INSERT);
-                w.put_str(table);
-                w.put_uvar(*row_id);
-                w.put_uvar(values.len() as u64);
-                for v in values {
-                    v.encode_into(w);
-                }
+                encode_insert(w, table, *row_id, values.len(), |w| {
+                    for v in values {
+                        v.encode_into(w);
+                    }
+                });
             }
             LogOp::Delete { table, row_ids } => {
-                w.put_u8(TAG_DELETE);
-                w.put_str(table);
-                w.put_uvar(row_ids.len() as u64);
-                for &id in row_ids {
-                    w.put_uvar(id);
-                }
+                encode_delete(w, table, row_ids.len(), row_ids.iter().copied())
             }
         }
     }
@@ -137,18 +118,17 @@ impl LogOp {
             TAG_CREATE_TABLE => {
                 let name = r.get_str().map_err(corrupt)?.to_string();
                 let n_cols = r.get_uvar().map_err(corrupt)? as usize;
-                let mut schema = Schema::new(&name);
+                let mut schema = Schema::new(name);
                 for _ in 0..n_cols {
                     let cname = r.get_str().map_err(corrupt)?.to_string();
                     let ty = ColumnType::from_wire_tag(r.get_u8().map_err(corrupt)?).ok_or_else(
                         || StoreError::CorruptSnapshot("bad column type tag".to_string()),
                     )?;
                     let nullable = r.get_u8().map_err(corrupt)? != 0;
-                    let c = Column { name: cname, ty, nullable };
-                    schema = if c.nullable {
-                        schema.nullable_column(&c.name, c.ty)
+                    schema = if nullable {
+                        schema.nullable_column(cname, ty)
                     } else {
-                        schema.column(&c.name, c.ty)
+                        schema.column(cname, ty)
                     };
                 }
                 LogOp::CreateTable(schema)
@@ -198,20 +178,114 @@ impl LogOp {
     }
 }
 
+// The op encoders, over borrowed parts, so the database facade can
+// capture a mutation without building an owned [`LogOp`].
+
+pub(crate) fn encode_create_table(w: &mut Writer, schema: &Schema) {
+    w.put_u8(TAG_CREATE_TABLE);
+    w.put_str(schema.name());
+    w.put_uvar(schema.columns().len() as u64);
+    for c in schema.columns() {
+        w.put_str(&c.name);
+        w.put_u8(c.ty.wire_tag());
+        w.put_u8(c.nullable as u8);
+    }
+}
+
+pub(crate) fn encode_drop_table(w: &mut Writer, name: &str) {
+    w.put_u8(TAG_DROP_TABLE);
+    w.put_str(name);
+}
+
+pub(crate) fn encode_create_index(w: &mut Writer, table: &str, column: &str) {
+    w.put_u8(TAG_CREATE_INDEX);
+    w.put_str(table);
+    w.put_str(column);
+}
+
+/// `cells` writes the `count` encoded values.
+pub(crate) fn encode_insert(
+    w: &mut Writer,
+    table: &str,
+    row_id: u64,
+    count: usize,
+    cells: impl FnOnce(&mut Writer),
+) {
+    w.put_u8(TAG_INSERT);
+    w.put_str(table);
+    w.put_uvar(row_id);
+    w.put_uvar(count as u64);
+    cells(w);
+}
+
+pub(crate) fn encode_delete(
+    w: &mut Writer,
+    table: &str,
+    count: usize,
+    row_ids: impl Iterator<Item = u64>,
+) {
+    w.put_u8(TAG_DELETE);
+    w.put_str(table);
+    w.put_uvar(count as u64);
+    for id in row_ids {
+        w.put_uvar(id);
+    }
+}
+
+/// The ops captured since the last drain: each encoded op in its own
+/// CRC frame (`sor_proto::frame`), back to back — exactly the bytes a
+/// write-ahead log appends for one commit.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Batch {
+    /// The framed records.
+    pub bytes: Vec<u8>,
+    /// How many ops they hold.
+    pub count: usize,
+}
+
+impl Batch {
+    /// Whether no op was captured.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Decodes the ops back, in capture order.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::CorruptSnapshot`] on a damaged frame or record.
+    pub fn decode(&self) -> Result<Vec<LogOp>, StoreError> {
+        let mut scanner = FrameScanner::new(&self.bytes);
+        let mut ops = Vec::with_capacity(self.count);
+        while let Some(frame) = scanner.next_frame() {
+            let payload = frame.map_err(|e| StoreError::CorruptSnapshot(e.to_string()))?;
+            ops.push(LogOp::decode(payload)?);
+        }
+        Ok(ops)
+    }
+}
+
 /// Cloneable capture handle for [`LogOp`]s.
 ///
-/// All clones share one buffer; the durability layer drains it at
+/// All clones share one [`Batch`]; the durability layer drains it at
 /// commit points. The default handle is disabled: mutations pay one
 /// branch and capture nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
-    inner: Option<Arc<Mutex<Vec<LogOp>>>>,
+    inner: Option<Arc<Mutex<Captured>>>,
+}
+
+/// The shared capture buffer.
+#[derive(Debug, Default)]
+struct Captured {
+    batch: Writer,
+    count: usize,
 }
 
 impl ChangeLog {
     /// A capturing handle with an empty buffer.
     pub fn enabled() -> Self {
-        ChangeLog { inner: Some(Arc::new(Mutex::new(Vec::new()))) }
+        ChangeLog { inner: Some(Arc::new(Mutex::new(Captured::default()))) }
     }
 
     /// The no-op sink (the default).
@@ -224,24 +298,29 @@ impl ChangeLog {
         self.inner.is_some()
     }
 
-    /// Records one op (no-op when disabled).
-    pub fn push(&self, op: LogOp) {
+    /// Records one op that `encode` writes (no-op when disabled).
+    pub(crate) fn capture(&self, encode: impl FnOnce(&mut Writer)) {
         if let Some(inner) = &self.inner {
-            inner.lock().expect("changelog poisoned").push(op);
+            let mut captured = inner.lock().expect("changelog poisoned");
+            captured.batch.put_frame(encode);
+            captured.count += 1;
         }
     }
 
     /// Takes every captured op, leaving the buffer empty.
-    pub fn drain(&self) -> Vec<LogOp> {
+    pub fn drain(&self) -> Batch {
         match &self.inner {
-            Some(inner) => std::mem::take(&mut *inner.lock().expect("changelog poisoned")),
-            None => Vec::new(),
+            Some(inner) => {
+                let captured = std::mem::take(&mut *inner.lock().expect("changelog poisoned"));
+                Batch { bytes: captured.batch.into_bytes(), count: captured.count }
+            }
+            None => Batch::default(),
         }
     }
 
     /// Number of captured ops not yet drained.
     pub fn pending(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lock().expect("changelog poisoned").len())
+        self.inner.as_ref().map_or(0, |i| i.lock().expect("changelog poisoned").count)
     }
 }
 
@@ -315,18 +394,22 @@ mod tests {
     fn changelog_captures_and_drains() {
         let log = ChangeLog::enabled();
         let clone = log.clone();
-        log.push(LogOp::DropTable("a".into()));
-        clone.push(LogOp::DropTable("b".into()));
+        log.capture(|w| LogOp::DropTable("a".into()).encode_into(w));
+        clone.capture(|w| LogOp::DropTable("b".into()).encode_into(w));
         assert_eq!(log.pending(), 2);
         let drained = log.drain();
-        assert_eq!(drained.len(), 2);
+        assert_eq!(drained.count, 2);
+        assert_eq!(
+            drained.decode().unwrap(),
+            vec![LogOp::DropTable("a".into()), LogOp::DropTable("b".into())]
+        );
         assert_eq!(clone.pending(), 0, "clones share the buffer");
     }
 
     #[test]
     fn disabled_changelog_is_inert() {
         let log = ChangeLog::disabled();
-        log.push(LogOp::DropTable("a".into()));
+        log.capture(|w| LogOp::DropTable("a".into()).encode_into(w));
         assert_eq!(log.pending(), 0);
         assert!(log.drain().is_empty());
         assert!(!ChangeLog::default().is_enabled());

@@ -1,12 +1,13 @@
 //! The multi-table database facade plus binary snapshots.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use sor_obs::Recorder;
 use sor_proto::checksum::crc32;
 use sor_proto::wire::{Reader, Writer};
 
-use crate::changelog::{ChangeLog, LogOp};
+use crate::changelog::{self, ChangeLog, LogOp};
 use crate::predicate::Predicate;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Row, RowId, Table};
@@ -22,7 +23,7 @@ const SNAPSHOT_VERSION: u8 = 2;
 /// A named collection of tables — the sensing server's "PostgreSQL".
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<Cow<'static, str>, Table>,
     recorder: Recorder,
     changelog: ChangeLog,
 }
@@ -58,14 +59,11 @@ impl Database {
     ///
     /// [`StoreError::DuplicateTable`] if the name is taken.
     pub fn create_table(&mut self, schema: Schema) -> Result<(), StoreError> {
-        let name = schema.name().to_string();
-        if self.tables.contains_key(&name) {
-            return Err(StoreError::DuplicateTable(name));
+        if self.tables.contains_key(schema.name()) {
+            return Err(StoreError::DuplicateTable(schema.name().to_string()));
         }
-        if self.changelog.is_enabled() {
-            self.changelog.push(LogOp::CreateTable(schema.clone()));
-        }
-        self.tables.insert(name, Table::new(schema));
+        self.changelog.capture(|w| changelog::encode_create_table(w, &schema));
+        self.tables.insert(schema.name_cow(), Table::new(schema));
         Ok(())
     }
 
@@ -73,7 +71,7 @@ impl Database {
     pub fn drop_table(&mut self, name: &str) -> bool {
         let existed = self.tables.remove(name).is_some();
         if existed {
-            self.changelog.push(LogOp::DropTable(name.to_string()));
+            self.changelog.capture(|w| changelog::encode_drop_table(w, name));
         }
         existed
     }
@@ -87,14 +85,13 @@ impl Database {
     /// Unknown table/column, unindexable type, duplicate index.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), StoreError> {
         self.table_mut(table)?.create_index(column)?;
-        self.changelog
-            .push(LogOp::CreateIndex { table: table.to_string(), column: column.to_string() });
+        self.changelog.capture(|w| changelog::encode_create_index(w, table, column));
         Ok(())
     }
 
     /// Names of all tables.
     pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
+        self.tables.keys().map(|name| name.as_ref()).collect()
     }
 
     /// Borrows a table.
@@ -121,13 +118,14 @@ impl Database {
     ///
     /// Unknown table or schema mismatch.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<RowId, StoreError> {
-        let id = if self.changelog.is_enabled() {
-            let id = self.table_mut(table)?.insert(values.clone())?;
-            self.changelog.push(LogOp::Insert { table: table.to_string(), row_id: id.0, values });
-            id
-        } else {
-            self.table_mut(table)?.insert(values)?
-        };
+        let t = self.tables.get_mut(table).ok_or_else(|| StoreError::UnknownTable(table.into()))?;
+        let id = t.insert(values)?;
+        self.changelog.capture(|w| {
+            let cells = t.encoded(id).expect("just inserted");
+            changelog::encode_insert(w, table, id.0, t.schema().columns().len(), |w| {
+                w.put_raw(cells)
+            });
+        });
         self.recorder.count_labeled("store.rows_inserted", table, 1);
         Ok(id)
     }
@@ -147,6 +145,32 @@ impl Database {
         Ok(rows)
     }
 
+    /// [`Database::scan`] without the copies: calls `visit` with each
+    /// matching row's id and values (see [`Table::scan_each`]). Row
+    /// traffic is counted exactly as for [`Database::scan`].
+    ///
+    /// # Errors
+    ///
+    /// Unknown table/column.
+    pub fn scan_each(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        mut visit: impl FnMut(RowId, &[Value]),
+    ) -> Result<(), StoreError> {
+        let mut matched = 0u64;
+        let used_index = self.table(table)?.scan_each(pred, |id, values| {
+            matched += 1;
+            visit(id, values);
+        })?;
+        self.recorder.count_labeled("store.rows_scanned", table, matched);
+        self.recorder.count_labeled("store.scans_run", table, 1);
+        if used_index {
+            self.recorder.count_labeled("store.scans_indexed", table, 1);
+        }
+        Ok(())
+    }
+
     /// Deletes matching rows, returning the count.
     ///
     /// # Errors
@@ -156,9 +180,8 @@ impl Database {
         let gone = self.table_mut(table)?.delete_where(pred)?;
         let n = gone.len();
         if n > 0 {
-            self.changelog.push(LogOp::Delete {
-                table: table.to_string(),
-                row_ids: gone.iter().map(|id| id.0).collect(),
+            self.changelog.capture(|w| {
+                changelog::encode_delete(w, table, n, gone.iter().map(|id| id.0));
             });
         }
         self.recorder.count_labeled("store.rows_deleted", table, n as u64);
@@ -176,15 +199,14 @@ impl Database {
     pub fn apply_op(&mut self, op: &LogOp) -> Result<(), StoreError> {
         match op {
             LogOp::CreateTable(schema) => {
-                let name = schema.name().to_string();
-                if self.tables.contains_key(&name) {
-                    return Err(StoreError::DuplicateTable(name));
+                if self.tables.contains_key(schema.name()) {
+                    return Err(StoreError::DuplicateTable(schema.name().to_string()));
                 }
-                self.tables.insert(name, Table::new(schema.clone()));
+                self.tables.insert(schema.name_cow(), Table::new(schema.clone()));
                 Ok(())
             }
             LogOp::DropTable(name) => {
-                self.tables.remove(name);
+                self.tables.remove(name.as_str());
                 Ok(())
             }
             LogOp::CreateIndex { table, column } => self.table_mut(table)?.create_index(column),
@@ -205,6 +227,15 @@ impl Database {
     /// exact inverse: indexes are rebuilt, ids preserved.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.snapshot_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends [`Database::snapshot`]'s bytes to `w`, so a caller can
+    /// frame the snapshot without holding a second copy of it. Rows are
+    /// encoded straight from the tables.
+    pub fn snapshot_into(&self, w: &mut Writer) {
+        let start = w.len();
         w.put_raw(b"SORD");
         w.put_u8(SNAPSHOT_VERSION);
         w.put_uvar(self.tables.len() as u64);
@@ -223,18 +254,14 @@ impl Database {
                 w.put_str(col);
             }
             w.put_uvar(table.next_row_id());
-            let rows: Vec<Row> = table.iter().collect();
-            w.put_uvar(rows.len() as u64);
-            for row in rows {
-                w.put_uvar(row.id.0);
-                for v in &row.values {
-                    v.encode_into(&mut w);
-                }
+            w.put_uvar(table.len() as u64);
+            for (id, cells) in table.encoded_rows() {
+                w.put_uvar(id.0);
+                w.put_raw(cells);
             }
         }
-        let crc = crc32(w.as_slice());
+        let crc = crc32(&w.as_slice()[start..]);
         w.put_u32(crc);
-        w.into_bytes()
     }
 
     /// Restores a database from a snapshot.
@@ -281,7 +308,7 @@ impl Database {
                 return Err(corrupt(&format!("{n_cols} columns declared in a shorter snapshot")));
             }
             let n_cols = n_cols as usize;
-            let mut schema = Schema::new(&name);
+            let mut schema = Schema::new(name.clone());
             let mut col_defs: Vec<Column> = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
                 let cname = r.get_str().map_err(|e| corrupt(&e.to_string()))?.to_string();
@@ -289,13 +316,13 @@ impl Database {
                     ColumnType::from_wire_tag(r.get_u8().map_err(|e| corrupt(&e.to_string()))?)
                         .ok_or_else(|| corrupt("bad column type tag"))?;
                 let nullable = r.get_u8().map_err(|e| corrupt(&e.to_string()))? != 0;
-                col_defs.push(Column { name: cname, ty, nullable });
+                col_defs.push(Column { name: cname.into(), ty, nullable });
             }
             for c in &col_defs {
                 schema = if c.nullable {
-                    schema.nullable_column(&c.name, c.ty)
+                    schema.nullable_column(c.name.clone(), c.ty)
                 } else {
-                    schema.column(&c.name, c.ty)
+                    schema.column(c.name.clone(), c.ty)
                 };
             }
             db.create_table(schema).map_err(|e| corrupt(&e.to_string()))?;
@@ -356,7 +383,12 @@ mod tests {
         db.insert("users", vec![Value::Int(2), Value::text("bob"), Value::text("b@x.io")]).unwrap();
         db.insert(
             "blobs",
-            vec![Value::Int(1), Value::Bytes(vec![1, 2, 3]), Value::Bool(true), Value::Float(0.5)],
+            vec![
+                Value::Int(1),
+                Value::Bytes(Box::new([1, 2, 3])),
+                Value::Bool(true),
+                Value::Float(0.5),
+            ],
         )
         .unwrap();
         db
@@ -403,7 +435,7 @@ mod tests {
         let rows_b = back.scan("users", &Predicate::True).unwrap();
         assert_eq!(rows_a, rows_b, "rows and their ids survive");
         let blob = back.scan("blobs", &Predicate::True).unwrap();
-        assert_eq!(blob[0].values[1], Value::Bytes(vec![1, 2, 3]));
+        assert_eq!(blob[0].values[1], Value::Bytes(Box::new([1, 2, 3])));
         assert_eq!(blob[0].values[3], Value::Float(0.5));
     }
 
@@ -496,7 +528,7 @@ mod tests {
         let id = db.insert("t", vec![Value::Int(5)]).unwrap();
         db.delete_where("t", &Predicate::eq("id", Value::Int(5))).unwrap();
         db.drop_table("t");
-        let ops = log.drain();
+        let ops = log.drain().decode().unwrap();
         assert_eq!(ops.len(), 5);
         assert!(matches!(&ops[0], LogOp::CreateTable(s) if s.name() == "t"));
         assert!(matches!(&ops[1], LogOp::CreateIndex { column, .. } if column == "id"));
@@ -526,7 +558,7 @@ mod tests {
         db.insert("t", vec![Value::Int(99), Value::text("c")]).unwrap();
 
         let mut replayed = Database::new();
-        for op in log.drain() {
+        for op in log.drain().decode().unwrap() {
             replayed.apply_op(&op).unwrap();
         }
         assert_eq!(replayed.snapshot(), db.snapshot(), "replay is bit-exact");
@@ -548,5 +580,42 @@ mod tests {
         assert_eq!(rec.counter("store.scans_run.users"), 1);
         assert_eq!(rec.counter("store.rows_deleted.users"), 1);
         assert_eq!(rec.counter("store.rows_inserted.blobs"), 0);
+    }
+
+    #[test]
+    fn scan_each_visits_what_scan_returns_and_counts_alike() {
+        let mut db = sample_db();
+        db.create_index("users", "id").unwrap();
+        for i in 3..40 {
+            let email = if i % 3 == 0 { Value::Null } else { Value::text(format!("u{i}@x.io")) };
+            db.insert("users", vec![Value::Int(i % 7), Value::text(format!("u{i}")), email])
+                .unwrap();
+        }
+        let preds = [
+            Predicate::True,
+            // Indexed point lookup.
+            Predicate::eq("id", Value::Int(3)),
+            // Index-pruned And-chain, re-checked per candidate.
+            Predicate::eq("id", Value::Int(2)).and(Predicate::eq("email", Value::Null).negate()),
+            // Full scan with a filter.
+            Predicate::eq("email", Value::Null),
+        ];
+        for pred in &preds {
+            let (by_scan, by_each) = (Recorder::enabled(), Recorder::enabled());
+            db.set_recorder(by_scan.clone());
+            let rows = db.scan("users", pred).unwrap();
+            db.set_recorder(by_each.clone());
+            let mut visited = Vec::new();
+            db.scan_each("users", pred, |id, values| {
+                visited.push(Row { id, values: values.to_vec() })
+            })
+            .unwrap();
+            assert_eq!(visited, rows, "{pred:?}");
+            for name in
+                ["store.rows_scanned.users", "store.scans_run.users", "store.scans_indexed.users"]
+            {
+                assert_eq!(by_each.counter(name), by_scan.counter(name), "{name} for {pred:?}");
+            }
+        }
     }
 }

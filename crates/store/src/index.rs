@@ -5,7 +5,8 @@ use std::collections::HashMap;
 use crate::table::RowId;
 use crate::value::{IndexKey, Value};
 
-/// A secondary hash index: exact-value → row ids.
+/// A secondary hash index: exact-value → row ids, each bucket kept in
+/// ascending id order.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
     buckets: HashMap<IndexKey, Vec<RowId>>,
@@ -21,7 +22,11 @@ impl HashIndex {
     /// silently skipped — lookups on them fall back to scans.
     pub fn insert(&mut self, value: &Value, id: RowId) {
         if let Some(key) = value.index_key() {
-            self.buckets.entry(key).or_default().push(id);
+            let ids = self.buckets.entry(key).or_default();
+            // Ids are minted in ascending order, so this is a push except
+            // when a restore or replay inserts an older id.
+            let at = ids.partition_point(|&r| r < id);
+            ids.insert(at, id);
         }
     }
 
@@ -37,11 +42,11 @@ impl HashIndex {
         }
     }
 
-    /// Row ids matching `value` exactly, or `None` if the value is not
-    /// indexable (caller must scan).
-    pub fn lookup(&self, value: &Value) -> Option<Vec<RowId>> {
+    /// Row ids matching `value` exactly, in ascending order, or `None`
+    /// if the value is not indexable (caller must scan).
+    pub fn lookup(&self, value: &Value) -> Option<&[RowId]> {
         let key = value.index_key()?;
-        Some(self.buckets.get(&key).cloned().unwrap_or_default())
+        Some(self.buckets.get(&key).map_or(&[], Vec::as_slice))
     }
 
     /// Number of distinct keys.
@@ -60,9 +65,9 @@ mod tests {
         idx.insert(&Value::Int(5), RowId(0));
         idx.insert(&Value::Int(5), RowId(1));
         idx.insert(&Value::Int(7), RowId(2));
-        assert_eq!(idx.lookup(&Value::Int(5)).unwrap(), vec![RowId(0), RowId(1)]);
+        assert_eq!(idx.lookup(&Value::Int(5)).unwrap(), [RowId(0), RowId(1)]);
         idx.remove(&Value::Int(5), RowId(0));
-        assert_eq!(idx.lookup(&Value::Int(5)).unwrap(), vec![RowId(1)]);
+        assert_eq!(idx.lookup(&Value::Int(5)).unwrap(), [RowId(1)]);
         assert_eq!(idx.key_count(), 2);
         idx.remove(&Value::Int(5), RowId(1));
         assert_eq!(idx.key_count(), 1);
@@ -71,7 +76,7 @@ mod tests {
     #[test]
     fn missing_key_is_empty_not_none() {
         let idx = HashIndex::new();
-        assert_eq!(idx.lookup(&Value::Int(9)).unwrap(), vec![]);
+        assert!(idx.lookup(&Value::Int(9)).unwrap().is_empty());
     }
 
     #[test]
@@ -86,6 +91,16 @@ mod tests {
     fn null_values_are_indexed() {
         let mut idx = HashIndex::new();
         idx.insert(&Value::Null, RowId(3));
-        assert_eq!(idx.lookup(&Value::Null).unwrap(), vec![RowId(3)]);
+        assert_eq!(idx.lookup(&Value::Null).unwrap(), [RowId(3)]);
+    }
+
+    #[test]
+    fn buckets_stay_in_id_order() {
+        let mut idx = HashIndex::new();
+        for id in [4, 9, 2, 7, 0] {
+            idx.insert(&Value::Int(1), RowId(id));
+        }
+        let ids: Vec<u64> = idx.lookup(&Value::Int(1)).unwrap().iter().map(|r| r.0).collect();
+        assert_eq!(ids, [0, 2, 4, 7, 9]);
     }
 }

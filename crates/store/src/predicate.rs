@@ -1,7 +1,6 @@
 //! Row predicates for scans and deletes.
 
 use crate::schema::Schema;
-use crate::table::Row;
 use crate::value::Value;
 use crate::StoreError;
 
@@ -61,19 +60,19 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Evaluates against a row.
+    /// Evaluates against one row's values (in schema column order).
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownColumn`] if a referenced column does not
     /// exist in the schema.
-    pub fn matches(&self, schema: &Schema, row: &Row) -> Result<bool, StoreError> {
+    pub fn matches(&self, schema: &Schema, row: &[Value]) -> Result<bool, StoreError> {
         let col = |name: &str| -> Result<&Value, StoreError> {
             let idx = schema.column_index(name).ok_or_else(|| StoreError::UnknownColumn {
                 table: schema.name().to_string(),
                 column: name.to_string(),
             })?;
-            Ok(&row.values[idx])
+            Ok(&row[idx])
         };
         Ok(match self {
             Predicate::True => true,
@@ -125,7 +124,7 @@ impl Predicate {
 mod tests {
     use super::*;
     use crate::schema::ColumnType;
-    use crate::table::RowId;
+    use crate::table::{Row, RowId};
 
     fn schema() -> Schema {
         Schema::new("t")
@@ -142,10 +141,10 @@ mod tests {
     fn comparisons() {
         let s = schema();
         let r = row(5, "bob", 1.5);
-        assert!(Predicate::eq("id", Value::Int(5)).matches(&s, &r).unwrap());
-        assert!(Predicate::lt("score", Value::Float(2.0)).matches(&s, &r).unwrap());
-        assert!(Predicate::gt("name", Value::text("alice")).matches(&s, &r).unwrap());
-        assert!(!Predicate::eq("id", Value::Int(6)).matches(&s, &r).unwrap());
+        assert!(Predicate::eq("id", Value::Int(5)).matches(&s, &r.values).unwrap());
+        assert!(Predicate::lt("score", Value::Float(2.0)).matches(&s, &r.values).unwrap());
+        assert!(Predicate::gt("name", Value::text("alice")).matches(&s, &r.values).unwrap());
+        assert!(!Predicate::eq("id", Value::Int(6)).matches(&s, &r.values).unwrap());
     }
 
     #[test]
@@ -153,10 +152,10 @@ mod tests {
         let s = schema();
         let r = row(5, "bob", 1.5);
         let p = Predicate::eq("id", Value::Int(5)).and(Predicate::gt("score", Value::Float(1.0)));
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(p.matches(&s, &r.values).unwrap());
         let q = Predicate::eq("id", Value::Int(9)).or(Predicate::eq("name", Value::text("bob")));
-        assert!(q.matches(&s, &r).unwrap());
-        assert!(!q.clone().negate().matches(&s, &r).unwrap());
+        assert!(q.matches(&s, &r.values).unwrap());
+        assert!(!q.clone().negate().matches(&s, &r.values).unwrap());
     }
 
     #[test]
@@ -164,7 +163,7 @@ mod tests {
         let s = schema();
         let r = row(1, "a", 0.0);
         assert!(matches!(
-            Predicate::eq("nope", Value::Int(1)).matches(&s, &r),
+            Predicate::eq("nope", Value::Int(1)).matches(&s, &r.values),
             Err(StoreError::UnknownColumn { .. })
         ));
     }
@@ -193,6 +192,6 @@ mod tests {
     fn cross_type_int_float_equality() {
         let s = schema();
         let r = row(5, "bob", 2.0);
-        assert!(Predicate::eq("score", Value::Int(2)).matches(&s, &r).unwrap());
+        assert!(Predicate::eq("score", Value::Int(2)).matches(&s, &r.values).unwrap());
     }
 }

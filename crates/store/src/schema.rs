@@ -1,5 +1,7 @@
 //! Table schemas.
 
+use std::borrow::Cow;
+
 use crate::value::Value;
 use crate::StoreError;
 
@@ -58,8 +60,9 @@ impl ColumnType {
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
-    /// Column name.
-    pub name: String,
+    /// Column name (borrowed when it is a literal, as in every server
+    /// table, so building a schema allocates no name).
+    pub name: Cow<'static, str>,
     /// Column type.
     pub ty: ColumnType,
     /// Whether NULL is allowed.
@@ -79,24 +82,24 @@ pub struct Column {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    name: String,
+    name: Cow<'static, str>,
     columns: Vec<Column>,
 }
 
 impl Schema {
     /// A schema with no columns yet.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         Schema { name: name.into(), columns: Vec::new() }
     }
 
     /// Adds a NOT NULL column.
-    pub fn column(mut self, name: impl Into<String>, ty: ColumnType) -> Self {
+    pub fn column(mut self, name: impl Into<Cow<'static, str>>, ty: ColumnType) -> Self {
         self.columns.push(Column { name: name.into(), ty, nullable: false });
         self
     }
 
     /// Adds a nullable column.
-    pub fn nullable_column(mut self, name: impl Into<String>, ty: ColumnType) -> Self {
+    pub fn nullable_column(mut self, name: impl Into<Cow<'static, str>>, ty: ColumnType) -> Self {
         self.columns.push(Column { name: name.into(), ty, nullable: true });
         self
     }
@@ -104,6 +107,12 @@ impl Schema {
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The table name as stored, so a database can key its tables by it
+    /// without copying a literal.
+    pub(crate) fn name_cow(&self) -> Cow<'static, str> {
+        self.name.clone()
     }
 
     /// The columns.
@@ -124,7 +133,7 @@ impl Schema {
     pub fn validate(&self, row: &[Value]) -> Result<(), StoreError> {
         if row.len() != self.columns.len() {
             return Err(StoreError::SchemaMismatch {
-                table: self.name.clone(),
+                table: self.name.to_string(),
                 detail: format!("expected {} values, got {}", self.columns.len(), row.len()),
             });
         }
@@ -132,13 +141,13 @@ impl Schema {
             if v.is_null() {
                 if !col.nullable {
                     return Err(StoreError::SchemaMismatch {
-                        table: self.name.clone(),
+                        table: self.name.to_string(),
                         detail: format!("column `{}` is NOT NULL", col.name),
                     });
                 }
             } else if !col.ty.matches(v) {
                 return Err(StoreError::SchemaMismatch {
-                    table: self.name.clone(),
+                    table: self.name.to_string(),
                     detail: format!("column `{}` expects {:?}, got {v}", col.name, col.ty),
                 });
             }

@@ -3,7 +3,8 @@
 use sor_proto::wire::{Reader, Writer};
 use sor_proto::ProtoError;
 
-/// One table cell.
+/// One table cell. Text and bytes are boxed slices rather than growable
+/// buffers, which keeps a cell at 24 bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
@@ -13,17 +14,17 @@ pub enum Value {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 text.
-    Text(String),
+    Text(Box<str>),
     /// Opaque bytes (the binary sensed-data inbox of §II-B).
-    Bytes(Vec<u8>),
+    Bytes(Box<[u8]>),
     /// Boolean.
     Bool(bool),
 }
 
 impl Value {
     /// Convenience text constructor.
-    pub fn text(s: impl Into<String>) -> Value {
-        Value::Text(s.into())
+    pub fn text(s: impl AsRef<str>) -> Value {
+        Value::Text(s.as_ref().into())
     }
 
     /// Integer view.
@@ -99,6 +100,19 @@ impl Value {
         }
     }
 
+    /// Bytes [`Value::encode_into`] writes.
+    pub fn encoded_len(&self) -> usize {
+        let uvar = |v: u64| (70 - (v | 1).leading_zeros() as usize) / 7;
+        match self {
+            Value::Null => 1,
+            Value::Int(i) => 1 + uvar(sor_proto::varint::zigzag_encode(*i)),
+            Value::Float(_) => 9,
+            Value::Text(s) => 1 + uvar(s.len() as u64) + s.len(),
+            Value::Bytes(b) => 1 + uvar(b.len() as u64) + b.len(),
+            Value::Bool(_) => 2,
+        }
+    }
+
     /// Appends this value to a wire buffer (tag byte + payload). The
     /// shared cell encoding of snapshots and write-ahead-log records.
     pub fn encode_into(&self, w: &mut Writer) {
@@ -137,8 +151,8 @@ impl Value {
             0 => Value::Null,
             1 => Value::Int(r.get_ivar()?),
             2 => Value::Float(r.get_f64()?),
-            3 => Value::Text(r.get_str()?.to_string()),
-            4 => Value::Bytes(r.get_bytes()?.to_vec()),
+            3 => Value::Text(r.get_str()?.into()),
+            4 => Value::Bytes(r.get_bytes()?.into()),
             5 => Value::Bool(r.get_u8()? != 0),
             _ => return Err(ProtoError::UnknownMessageType(255)),
         })
@@ -149,7 +163,7 @@ impl Value {
     pub fn index_key(&self) -> Option<IndexKey> {
         match self {
             Value::Int(i) => Some(IndexKey::Int(*i)),
-            Value::Text(s) => Some(IndexKey::Text(s.clone())),
+            Value::Text(s) => Some(IndexKey::Text(s.to_string())),
             Value::Bool(b) => Some(IndexKey::Bool(*b)),
             Value::Null => Some(IndexKey::Null),
             _ => None,
@@ -213,13 +227,37 @@ mod tests {
         assert!(Value::Int(1).index_key().is_some());
         assert!(Value::text("a").index_key().is_some());
         assert!(Value::Float(1.0).index_key().is_none());
-        assert!(Value::Bytes(vec![1]).index_key().is_none());
+        assert!(Value::Bytes(Box::new([1])).index_key().is_none());
+    }
+
+    #[test]
+    fn encoded_len_is_what_encode_writes() {
+        let long = "x".repeat(300);
+        let cases = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-64),
+            Value::Int(64),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(-0.5),
+            Value::text(""),
+            Value::text(&long),
+            Value::Bytes(vec![7; 127].into()),
+            Value::Bytes(vec![7; 128].into()),
+            Value::Bool(true),
+        ];
+        for v in cases {
+            let mut w = Writer::new();
+            v.encode_into(&mut w);
+            assert_eq!(v.encoded_len(), w.len(), "{v:?}");
+        }
     }
 
     #[test]
     fn display_is_informative() {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::text("hi").to_string(), "'hi'");
-        assert_eq!(Value::Bytes(vec![1, 2, 3]).to_string(), "x'3B'");
+        assert_eq!(Value::Bytes(Box::new([1, 2, 3])).to_string(), "x'3B'");
     }
 }

@@ -81,10 +81,34 @@ run cargo bench --offline -p sor-bench --bench obs_scale
 # trace id. The same export is then graded against the SLO catalog.
 trace_dir=$(mktemp -d)
 top_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir" "$top_dir"' EXIT
+res_dir=$(mktemp -d)
+trap 'rm -rf "$trace_dir" "$top_dir" "$res_dir"' EXIT
 run env SOR_THREADS=1 cargo run --release --offline -p sor --bin sor -- export "$trace_dir"
 run cargo run --release --offline -p sor --bin sor -- lint "$trace_dir/trace.json"
 run cargo run --release --offline -p sor --bin sor -- health "$trace_dir/trace.json"
+
+# Paper-result gate: every recorded output in results/ that the paper's
+# claims rest on (Fig. 14, Tables I/II, Fig. 10) must still be exactly
+# what its binary prints, stdout and stderr together. A change to a
+# scheduling or ranking kernel can then never move a paper figure
+# silently.
+reproduces() {
+    # $1: the file under results/; the rest: the command that prints it.
+    file=$1
+    shift
+    "$@" > "$res_dir/$file" 2>&1
+    if ! cmp -s "$res_dir/$file" "results/$file"; then
+        echo "FAIL '$*' no longer prints results/$file" >&2
+        diff "results/$file" "$res_dir/$file" >&2 || true
+        exit 1
+    fi
+    echo "==> results/$file reproduced byte-identically"
+}
+reproduces fig14.txt target/release/fig14
+reproduces fig14.csv target/release/fig14 csv
+reproduces table1.txt target/release/table1
+reproduces table2.txt target/release/table2
+reproduces fig10.txt target/release/fig10
 
 # Dashboard golden smoke: re-export at four workers and byte-compare
 # the rendered `sor top` dashboards — worker count must never change

@@ -63,7 +63,7 @@ fn store_holds_proto_frames_byte_exact() {
             values: vec![1.0, -2.5, 1e9],
         }],
     };
-    db.insert("inbox", vec![Sv::Int(1), Sv::Bytes(msg.encode())]).unwrap();
+    db.insert("inbox", vec![Sv::Int(1), Sv::Bytes(msg.encode().into())]).unwrap();
 
     // Snapshot + restore, then decode the frame out of the restored db.
     let restored = Database::restore(&db.snapshot()).unwrap();
